@@ -56,6 +56,10 @@ COMMANDS = (
 
 TTILDE_CHAR = "\U0001d531"  # fraktur t, used only in plain rendering
 
+# Smallest valid genus, rank, colength, base dimension and lattice half-rank;
+# anything below is an input error.
+_MINIMUM = {"g": 0, "r": 1, "d": 0, "n_dim": 1, "q": 0}
+
 
 class InputError(Exception):
     """Schema violation; carries a pointer to the offending field."""
@@ -85,16 +89,20 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _require_int(value, field_name: str) -> int:
+def _require_int(value, field_name: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(field_name, "expected an integer")
+    if minimum is not None and value < minimum:
+        raise InputError(field_name, f"expected an integer >= {minimum}, got {value}")
     return value
 
 
-def _require_int_list(value, field_name: str) -> tuple[int, ...]:
+def _require_int_list(value, field_name: str, minimum: int | None = None) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise InputError(field_name, "expected a list of integers")
-    return tuple(_require_int(x, f"{field_name}[{i}]") for i, x in enumerate(value))
+    return tuple(
+        _require_int(x, f"{field_name}[{i}]", minimum) for i, x in enumerate(value)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +265,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
 
     for name in ("g", "r", "d", "n", "n_dim", "q"):
         if doc.get(name) is not None:
-            setattr(spec, name, _require_int(doc[name], name))
+            setattr(spec, name, _require_int(doc[name], name, _MINIMUM.get(name)))
     if doc.get("l") is not None:
         spec.l = _require_int_list(doc["l"], "l")
     _parse_t_section(doc, spec)
@@ -291,9 +299,9 @@ def parse_jobspec(doc: dict) -> JobSpec:
         spec.kappa = _parse_kappa(doc.get("kappa", []), spec.q)
     elif command == "sweep":
         if doc.get("g_values") is not None:
-            spec.g_values = _require_int_list(doc["g_values"], "g_values")
+            spec.g_values = _require_int_list(doc["g_values"], "g_values", _MINIMUM["g"])
         if doc.get("d_values") is not None:
-            spec.d_values = _require_int_list(doc["d_values"], "d_values")
+            spec.d_values = _require_int_list(doc["d_values"], "d_values", _MINIMUM["d"])
         if doc.get("l_partitions") is not None:
             lp = doc["l_partitions"]
             if not isinstance(lp, list):
@@ -460,7 +468,7 @@ def run_job(spec: JobSpec) -> dict:
         problem = _quot_problem(spec)
         volume = quot_volume(problem)
         result["volume"] = volume_document(volume)
-        result["degree"] = grothendieck_degree(problem, spec.n)
+        result["degree"] = grothendieck_degree(problem, spec.n, volume)
         if spec.out_format == "latex":
             result["latex"] = render_latex(volume)
         return result

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .localization import QuotProblem, quot_volume
+from .scalars import TPoly
 
 __all__ = ["EmbeddingParams", "embedding_params", "grothendieck_degree"]
 
@@ -46,8 +47,11 @@ def embedding_params(p: QuotProblem, n: int) -> EmbeddingParams:
     return EmbeddingParams(n=n, s=s, ambient=ambient)
 
 
-def grothendieck_degree(p: QuotProblem, n: int) -> int:
+def grothendieck_degree(p: QuotProblem, n: int, volume: TPoly | None = None) -> int:
     """(rd)! times the normalized volume at ttilde = n - g + 1.
+
+    ``volume`` is ``quot_volume(p)`` when the caller already has it; it is
+    computed here otherwise.
 
     The value is computed for any twist; below the ``n >= g + d`` heuristic
     the embedding is not guaranteed and the result is only the formula value
@@ -60,8 +64,9 @@ def grothendieck_degree(p: QuotProblem, n: int) -> int:
             "returning the formula value",
             stacklevel=2,
         )
-    v = quot_volume(p)
-    value = math.factorial(p.r * p.d) * v(Fraction(n - p.g + 1))
+    if volume is None:
+        volume = quot_volume(p)
+    value = math.factorial(p.r * p.d) * volume(Fraction(n - p.g + 1))
     if value.denominator != 1:
         raise ArithmeticError(f"degree integrality violated: got {value}")
     return int(value)

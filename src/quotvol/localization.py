@@ -3,16 +3,39 @@
 For a split bundle ``E_0 = L_1 + ... + L_r`` the scaling torus acts on the
 Quot space of full-rank subsheaves of total colength ``d``; the fixed locus
 is indexed by weak compositions ``(d_1, ..., d_r)`` of ``d`` and each
-component is a product of symmetric powers.  The volume is the signed sum
-over compositions of a residue-type evaluation:
+component is a product of symmetric powers.  The volume is the signed sum,
+over compositions, of one coefficient of a fixed-point integrand, divided
+by ``(rd)!``.
 
-* build the fixed-point integrand as a truncated series in variable pairs
-  ``(x_i, y_i)`` (capped at ``x``-``y`` degree ``d_i``) with Laurent
-  coefficients in the equivariant variable ``u``;
-* read off the multi-degree ``(d_1, ..., d_r)`` part, which must sit in
-  ``u^0`` (checked, never assumed);
-* evaluate each ``y_i^(b_i)`` against the symmetric-power intersection
-  numbers, i.e. multiply by the falling factorials ``g(g-1)...(g-b_i+1)``.
+``quot_volume`` evaluates that coefficient in reduced form.  The integrand
+is homogeneous in ``(x, y, u)`` jointly, so its multi-degree ``(d_1, ..., d_r)``
+part is a single power of the equivariant variable ``u`` and ``u = 1``; the theta
+classes ``y_i`` are integrated out by the symmetric-power intersection
+numbers, ``L(y^k e^(yC)) = g(g-1)...(g-k+1) (1 + C)^(g-k)``; and ``x_i``
+and ``y_i`` merge into one variable ``t_i`` capped at degree ``d_i``.  With
+``N = rd``, ``s_i = ttilde + l_i - d_i`` and torus weights ``w_i``, each
+composition contributes the ``prod_i t_i^(d_i)`` coefficient of
+
+    sum_k N!/(N-|k|)! A^(N-|k|) prod_i C(g, k_i) t_i^(k_i) (1 + t_i c_i)^(g-k_i)
+          * prod_{i != j} (w_j - w_i + t_i)^(gbar + l_i - d_i - l_j)
+          * prod_{i < j} (w_j - w_i + t_i - t_j)^(-2 gbar),
+
+where ``A = sum_i s_i t_i - sum_i s_i w_i`` and
+``c_i = sum_{j != i} 1/(w_j - w_i + t_i)``.  Everything but ``A`` is free of
+``ttilde``, so it is built once per composition as a truncated series with
+rational coefficients, grouped by ``K = |k|``; only the contraction with the
+multinomial expansion of ``A^(N-K)`` carries ``TPoly`` coefficients, and it
+produces the one coefficient needed and nothing else.
+
+Setting ``u = 1`` is checked, never assumed: the homogeneity degree is
+summed from the actual factor exponents, and each composition's coefficient
+passes through ``_u_concentrated`` at ``u^(degree - d)``, which raises
+unless that exponent is 0.
+
+``integrand`` and ``evaluate_composition`` keep the unreduced pipeline: a
+series in variable pairs ``(x_i, y_i)`` with Laurent coefficients in ``u``,
+whose exact multi-degree part is read off at ``u^0`` and weighted by falling
+factorials.  They serve as an independent oracle for the reduced engine.
 
 The result is independent of the (pairwise distinct) torus weights; that
 freedom is kept as an end-to-end consistency check.
@@ -30,6 +53,7 @@ from .scalars import (
     TruncSeries,
     ULaurent,
     falling_factorial,
+    general_binomial,
     series_exp,
     series_pow_int,
     u_coefficient,
@@ -226,14 +250,136 @@ def _sign(p: QuotProblem) -> int:
     return -1 if parity else 1
 
 
+def _linear_power(w: Fraction, e: int, cap: int) -> list[Fraction]:
+    """Coefficients of ``(w + t)^e`` up to ``t^cap``; ``w != 0``, any integer ``e``."""
+    return [general_binomial(e, k) * w ** (e - k) for k in range(cap + 1)]
+
+
+def _poly_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
+    """Product of two coefficient lists, truncated above ``t^cap``."""
+    out = [Fraction(0)] * (cap + 1)
+    for i, x in enumerate(a[: cap + 1]):
+        if x:
+            for j, y in enumerate(b[: cap + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _series_mul(a: dict, b: dict, caps: tuple[int, ...]) -> dict:
+    """Product of two multivariate series ``{exponents: Fraction}`` within ``caps``."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if all(e <= c for e, c in zip(key, caps)):
+                out[key] = out.get(key, 0) + va * vb
+    return out
+
+
+def _cross_factor(w: Fraction, e: int, i: int, j: int, caps: tuple[int, ...]) -> dict:
+    """``(w + t_i - t_j)^e`` as a series within ``caps``."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for k, lead in enumerate(_linear_power(w, e, caps[i] + caps[j])):
+        if not lead:
+            continue
+        for a in range(max(0, k - caps[j]), min(k, caps[i]) + 1):
+            key = [0] * len(caps)
+            key[i], key[j] = a, k - a
+            out[tuple(key)] = lead * math.comb(k, a) * (-1) ** (k - a)
+    return out
+
+
+def _reduced_composition(p: QuotProblem, c: Composition, w: WeightVector) -> tuple[TPoly, int]:
+    """The ``prod_i t_i^(d_i)`` coefficient of the reduced integrand (see the
+    module docstring) together with its homogeneity degree in ``(x, y, u)``.
+
+    The coefficient equals ``evaluate_composition(p, c, w)`` whenever the
+    degree equals ``c.total``.
+    """
+    r, g, gbar = p.r, p.g, p.gbar
+    caps = c.parts
+    n = r * p.d
+    degree = n
+
+    # Per summand i: the t_i-only factors, one list per k_i = 0..min(d_i, g).
+    factors = []
+    for i in range(r):
+        cap = caps[i]
+        own = [Fraction(1)] + [Fraction(0)] * cap
+        c_i = [Fraction(0)] * (cap + 1)
+        for j in range(r):
+            if j == i:
+                continue
+            wji = w.w[j] - w.w[i]
+            e = gbar + p.l[i] - caps[i] - p.l[j]
+            degree += e
+            own = _poly_mul(own, _linear_power(wji, e, cap), cap)
+            c_i = [x + y for x, y in zip(c_i, _linear_power(wji, -1, cap))]
+        one_plus = [Fraction(1)] + c_i[:cap]  # 1 + t_i c_i
+        by_k = []
+        for k in range(min(cap, g) + 1):
+            f = [Fraction(0)] * k + [Fraction(math.comb(g, k))] + [Fraction(0)] * (cap - k)
+            for _ in range(g - k):
+                f = _poly_mul(f, one_plus, cap)
+            by_k.append(_poly_mul(f, own, cap))
+        factors.append(by_k)
+
+    # Their product over i, grouped by K = |k|.
+    graded: dict[int, dict[tuple[int, ...], Fraction]] = {0: {(): Fraction(1)}}
+    for by_k in factors:
+        nxt: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        for big_k, series in graded.items():
+            for k, f in enumerate(by_k):
+                target = nxt.setdefault(big_k + k, {})
+                for key, val in series.items():
+                    for a, x in enumerate(f):
+                        if x:
+                            target[key + (a,)] = target.get(key + (a,), 0) + val * x
+        graded = nxt
+
+    cross: dict[tuple[int, ...], Fraction] = {(0,) * r: Fraction(1)}
+    for i in range(r):
+        for j in range(i + 1, r):
+            degree -= 2 * gbar
+            cross = _series_mul(cross, _cross_factor(w.w[j] - w.w[i], -2 * gbar, i, j, caps), caps)
+
+    # [prod t^d] of G_K A^(N-K), G_K = cross * graded[K], A = sum_i s_i t_i - S:
+    # the multinomial term of t^beta is (N-K)!/(beta! j!) s^beta (-S)^j with
+    # j = N-K-|beta|.  Collect the s^beta parts by j, then sum over j by
+    # Horner's rule in -S.
+    s = stability_weights(p, c)
+    neg_s_dot_w = TPoly()
+    for i in range(r):
+        neg_s_dot_w = neg_s_dot_w - s[i] * w.w[i]
+    s_beta: dict[tuple[int, ...], TPoly] = {(): TPoly((1,))}
+    for i in range(r):
+        powers = [s[i] ** m * Fraction(1, math.factorial(m)) for m in range(caps[i] + 1)]
+        s_beta = {key + (m,): val * pw for key, val in s_beta.items()
+                  for m, pw in enumerate(powers)}
+    by_j = [TPoly() for _ in range(n + 1)]
+    for big_k, series in graded.items():
+        for key, val in _series_mul(cross, series, caps).items():
+            beta = tuple(x - y for x, y in zip(caps, key))
+            j = n - big_k - sum(beta)
+            if j >= 0 and val:
+                by_j[j] = by_j[j] + s_beta[beta] * val
+    total = TPoly()
+    for j in range(n, -1, -1):
+        total = total * neg_s_dot_w + by_j[j] * Fraction(math.factorial(n), math.factorial(j))
+    return total, degree
+
+
 def quot_volume(p: QuotProblem, w: WeightVector | None = None) -> TPoly:
     """Normalized volume of the Quot space as a polynomial of degree <= rd
     in the stability variable (units of (4 pi^2)^(rd))."""
     if w is None:
         w = default_weights(p.r)
+    if len(w.w) != p.r:
+        raise ValueError("weight vector length must equal the rank")
     total = TPoly()
     for c in compositions(p.d, p.r):
-        total = total + evaluate_composition(p, c, w)
+        coeff, degree = _reduced_composition(p, c, w)
+        total = total + _u_concentrated(ULaurent.monomial(coeff, degree - c.total))
     return total * Fraction(_sign(p), math.factorial(p.r * p.d))
 
 

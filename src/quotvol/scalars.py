@@ -15,6 +15,10 @@ Three nested rings, all over arbitrary-precision rationals
   beyond the caps, so each ``x_i``, ``y_i`` is nilpotent; this is what makes
   ``series_pow_int`` with negative exponents and ``series_exp`` terminate.
 
+``quot_volume`` computes with ``TPoly`` alone; ``ULaurent`` and
+``TruncSeries`` carry the unreduced localization pipeline that tests keep as
+its oracle, and ``ULaurent`` also carries the ``u^0`` guard.
+
 All values are immutable after construction and all operations are pure, so
 instances may be shared freely across threads.
 """

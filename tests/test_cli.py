@@ -224,3 +224,57 @@ def test_verify_rejects_single_weight_vector():
     proc = run_cli(["verify"], json.dumps(doc))
     assert proc.returncode == 2
     assert "at least two" in proc.stderr
+
+
+def test_negative_colength_flag_is_an_input_error():
+    proc = run_cli(["quot-volume", "--g", "1", "--r", "2", "--l", "0,0", "--d", "-1"])
+    assert proc.returncode == 2
+    assert "input error at 'd'" in proc.stderr
+
+
+def test_negative_sweep_genus_is_an_input_error():
+    doc = {"command": "sweep", "r": 2, "g_values": [-1], "d": 1, "l": [0, 0]}
+    proc = run_cli(["sweep"], json.dumps(doc))
+    assert proc.returncode == 2
+    assert "input error at 'g_values[0]'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, field_name",
+    [
+        ({"command": "quot-volume", "g": -1, "r": 1, "l": [0], "d": 0}, "g"),
+        ({"command": "quot-volume", "g": 0, "r": 0, "l": [], "d": 0}, "r"),
+        ({"command": "abelian-volume", "g": 0, "l": [0], "d": -2}, "d"),
+        ({"command": "sweep", "r": 1, "g": 0, "l": [0], "d_values": [0, -1]}, "d_values[1]"),
+        ({"command": "acyclic-volume", "n_dim": 0, "q": 0, "deg_E": 0, "pairings": [1],
+          "h": []}, "n_dim"),
+        ({"command": "acyclic-volume", "n_dim": 1, "q": -1, "deg_E": 0, "pairings": [1, 0],
+          "h": []}, "q"),
+    ],
+)
+def test_domain_bounds_name_the_field(doc, field_name):
+    from quotvol.cli import InputError
+
+    with pytest.raises(InputError) as info:
+        parse_jobspec(doc)
+    assert info.value.field_name == field_name
+
+
+def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):
+    import quotvol.cli as cli
+    import quotvol.grothendieck as grothendieck
+
+    calls = []
+    original = cli.quot_volume
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "quot_volume", counting)
+    monkeypatch.setattr(grothendieck, "quot_volume", counting)
+    spec = parse_jobspec({"command": "grothendieck-degree", "g": 0, "r": 2, "l": [0, 0],
+                          "d": 1, "n": 4})
+    result = run_job(spec)
+    assert result["degree"] == 8
+    assert len(calls) == 1

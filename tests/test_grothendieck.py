@@ -98,3 +98,13 @@ def test_degree_warns_below_heuristic_twist():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grothendieck_degree(p, 4)  # n >= g + d: no warning
+
+
+def test_degree_reuses_a_supplied_volume():
+    from quotvol.localization import quot_volume
+    from quotvol.scalars import TPoly
+
+    p = QuotProblem(g=1, r=2, l=(1, 0), d=2)
+    assert grothendieck_degree(p, 5, quot_volume(p)) == grothendieck_degree(p, 5)
+    # the supplied polynomial is the one evaluated: (rd)! * 1 at any twist
+    assert grothendieck_degree(p, 5, TPoly((1,))) == math.factorial(4)

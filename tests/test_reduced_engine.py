@@ -1,0 +1,113 @@
+"""The reduced fixed-point engine behind ``quot_volume`` against independent paths.
+
+The unreduced series pipeline (``evaluate_composition``) and the symmetric
+power are the oracles; equality is exact throughout.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quotvol.localization as localization
+from quotvol.abelian import CurveQuotProblem, symmetric_power_volume
+from quotvol.localization import (
+    QuotProblem,
+    WeightVector,
+    _reduced_composition,
+    _sign,
+    compositions,
+    default_weights,
+    evaluate_composition,
+    quot_volume,
+)
+from quotvol.scalars import TPoly
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def series_volume(p, w):
+    """The volume along the unreduced series path."""
+    total = TPoly()
+    for c in compositions(p.d, p.r):
+        total = total + evaluate_composition(p, c, w)
+    return total * Fraction(_sign(p), math.factorial(p.r * p.d))
+
+
+@st.composite
+def problems_with_weights(draw):
+    g = draw(st.integers(0, 3))
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 6 // r))
+    l = tuple(draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)))
+    weights = draw(
+        st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=7),
+            min_size=r,
+            max_size=r,
+            unique=True,
+        )
+    )
+    return QuotProblem(g=g, r=r, l=l, d=d), WeightVector(tuple(weights))
+
+
+@PROPERTY
+@given(problems_with_weights())
+def test_reduced_engine_matches_series_engine(case):
+    p, w = case
+    assert quot_volume(p, w) == series_volume(p, w)
+
+
+@PROPERTY
+@given(st.integers(0, 4), st.integers(-3, 4), st.integers(0, 6))
+def test_rank_one_matches_symmetric_power(g, l, d):
+    p = QuotProblem(g=g, r=1, l=(l,), d=d)
+    assert quot_volume(p) == symmetric_power_volume(CurveQuotProblem(g, l - d, d))
+
+
+def test_each_composition_matches_series_engine():
+    w = WeightVector((Fraction(-2, 3), Fraction(5, 3), Fraction(11, 3)))
+    for g in (0, 1, 2):
+        p = QuotProblem(g=g, r=3, l=(2, -1, 0), d=2)
+        for c in compositions(p.d, p.r):
+            coeff, degree = _reduced_composition(p, c, w)
+            assert degree == c.total
+            assert coeff == evaluate_composition(p, c, w), (g, c)
+
+
+def test_homogeneity_guard_trips_on_a_wrong_degree(monkeypatch):
+    original = _reduced_composition
+
+    def shifted(p, c, w):
+        coeff, degree = original(p, c, w)
+        return coeff, degree + 1
+
+    monkeypatch.setattr(localization, "_reduced_composition", shifted)
+    with pytest.raises(ArithmeticError, match="nonzero u-degree"):
+        quot_volume(QuotProblem(g=1, r=2, l=(0, 1), d=1))
+
+
+def test_weight_vector_length_is_checked():
+    with pytest.raises(ValueError, match="length must equal the rank"):
+        quot_volume(QuotProblem(g=1, r=2, l=(0, 1), d=1), default_weights(3))
+
+
+def _poly(*coeffs):
+    return TPoly(tuple(Fraction(c) for c in coeffs))
+
+
+# Exact volumes of the two largest ladder problems, recorded from the
+# unreduced series engine (which takes seconds on them, so it is not rerun).
+LADDER_PINS = {
+    6: _poly("-31425127/95800320", "1729439/2661120", "-1250159/3628800", "-37/90720",
+             "149/2880", "-11/720", "1/720"),
+    7: _poly("118981949/247665600", "-70362857/77837760", "2179919/4276800", "-10939/226800",
+             "-989/18144", "97/4320", "-1/288", "1/5040"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(LADDER_PINS))
+def test_ladder_volumes_are_pinned(d):
+    assert quot_volume(QuotProblem(g=2, r=2, l=(0, 1), d=d)) == LADDER_PINS[d]
