@@ -30,9 +30,11 @@ from .exterior import (
     AltForm,
     evaluate_top,
     exp_even,
+    exp_graded,
     standard_symplectic_form,
     standard_symplectic_matrix,
     theta_form,
+    top_pairing,
     wedge,
 )
 from .abelian import (
@@ -79,7 +81,9 @@ __all__ = [
     "AltForm",
     "wedge",
     "exp_even",
+    "exp_graded",
     "evaluate_top",
+    "top_pairing",
     "theta_form",
     "standard_symplectic_matrix",
     "standard_symplectic_form",

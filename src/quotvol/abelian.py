@@ -25,11 +25,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .exterior import (
     AltForm,
-    evaluate_top,
-    exp_even,
+    exp_graded,
     standard_symplectic_form,
     standard_symplectic_matrix,
     theta_form,
+    top_pairing,
 )
 from .scalars import TPoly
 
@@ -126,19 +126,14 @@ def manton_nasir_check(g: int, d: int, vol_X: Fraction, pi_stand_in: Fraction) -
     return MantonNasirValues(quot_side, mn)
 
 
-def _check_graded(ch: Sequence[AltForm]):
+def _char_exp(ch: Sequence[AltForm], top_degree: int, sign: int) -> list[AltForm]:
+    """Graded pieces of ``exp(sign * sum (-1)^i ch_i / i)`` up to ``top_degree``."""
     for idx, form in enumerate(ch):
-        want = 2 * (idx + 1)
-        if any(k != want for k in form.degrees()):
+        if any(k != 2 * (idx + 1) for k in form.degrees()):
             raise ValueError("graded degree error")
-
-
-def _char_exp(ch: Sequence[AltForm], q: int, sign_of_i) -> AltForm:
-    arg = AltForm.zero(q)
-    for idx, form in enumerate(ch):
-        i = idx + 1
-        arg = arg + form * Fraction(sign_of_i(i), i)
-    return exp_even(arg)
+    q = ch[0].q if ch else 0
+    pieces = [form * Fraction(sign * (-1) ** i, i) for i, form in enumerate(ch, 1)]
+    return exp_graded(q, pieces, top_degree)
 
 
 def segre_from_ch(ch: Sequence[AltForm], top_degree: int) -> list[AltForm]:
@@ -148,22 +143,13 @@ def segre_from_ch(ch: Sequence[AltForm], top_degree: int) -> list[AltForm]:
     ``exp(sum (-1)^i ch_i / i)``; entry j of the result is the degree-2j
     piece, up to ``top_degree``.
     """
-    if not ch:
-        q = 0
-    else:
-        q = ch[0].q
-    _check_graded(ch)
-    total = _char_exp(ch, q, lambda i: (-1) ** i)
-    return [total.component(2 * j) for j in range(top_degree + 1)]
+    return _char_exp(ch, top_degree, 1)
 
 
 def chern_from_ch(ch: Sequence[AltForm], top_degree: int) -> list[AltForm]:
     """Chern classes, ``exp(sum (-1)^(i+1) ch_i / i)``; inverse to the Segre
     total class."""
-    q = ch[0].q if ch else 0
-    _check_graded(ch)
-    total = _char_exp(ch, q, lambda i: (-1) ** (i + 1))
-    return [total.component(2 * j) for j in range(top_degree + 1)]
+    return _char_exp(ch, top_degree, -1)
 
 
 @dataclass(frozen=True)
@@ -205,7 +191,7 @@ class AcyclicData:
             if any(k != 2 * i for k in form.degrees()):
                 raise ValueError("graded degree error")
         # antisymmetry of h is re-checked by theta_form at evaluation time
-        if len(self.h) != 2 * self.q:
+        if len(self.h) != 2 * self.q or any(len(row) != 2 * self.q for row in self.h):
             raise ValueError("h must be 2q x 2q")
 
     @property
@@ -254,11 +240,11 @@ def acyclic_volume(data: AcyclicData) -> TPoly:
     total = TPoly()
     theta_k = AltForm.one(q)
     for k in range(min(q, N) + 1):
-        pairing = evaluate_top(theta_k.wedge(segre[q - k]))
+        if k:
+            theta_k = theta_k.wedge(theta)
+        pairing = top_pairing(theta_k, segre[q - k])
         if pairing:
             total = total + base ** (N - k) * (math.comb(N, k) * pairing)
-        if k < q:
-            theta_k = theta_k.wedge(theta)
     return total * Fraction(1, math.factorial(N))
 
 

@@ -223,7 +223,8 @@ def _parse_weights(doc: dict, spec: JobSpec):
     spec.weights = tuple(parsed)
 
 
-def _parse_kappa(value, q: int) -> dict[tuple[int, int], AltForm]:
+def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
+    """One degree-2i form per (i, s) with 1 <= i <= q and 0 <= s <= n_dim - i."""
     if not isinstance(value, list):
         raise InputError("kappa", "expected a list of {i, s, terms} objects")
     out: dict[tuple[int, int], AltForm] = {}
@@ -232,6 +233,8 @@ def _parse_kappa(value, q: int) -> dict[tuple[int, int], AltForm]:
             raise InputError(f"kappa[{idx}]", "expected an object")
         i = _require_int(entry.get("i"), f"kappa[{idx}].i")
         s = _require_int(entry.get("s"), f"kappa[{idx}].s")
+        if not (1 <= i <= q and 0 <= s <= n_dim - i):
+            raise InputError(f"kappa[{idx}]", f"(i, s) = ({i}, {s}) out of range")
         terms = entry.get("terms")
         if not isinstance(terms, list):
             raise InputError(f"kappa[{idx}].terms", "expected a list")
@@ -240,13 +243,54 @@ def _parse_kappa(value, q: int) -> dict[tuple[int, int], AltForm]:
             if not isinstance(term, dict):
                 raise InputError(f"kappa[{idx}].terms[{ti}]", "expected an object")
             indices = _require_int_list(term.get("indices"), f"kappa[{idx}].terms[{ti}].indices")
+            if len(indices) != 2 * i:
+                raise InputError(f"kappa[{idx}].terms[{ti}].indices", f"expected {2 * i} indices")
             coeff = parse_fraction(term.get("coeff"), f"kappa[{idx}].terms[{ti}].coeff")
             form_terms[indices] = coeff
         try:
             out[(i, s)] = AltForm(q, form_terms)
         except ValueError as exc:
             raise InputError(f"kappa[{idx}]", str(exc)) from None
+    for i in range(1, q + 1):
+        for s in range(n_dim - i + 1):
+            if (i, s) not in out:
+                raise InputError("kappa", f"missing form (i={i}, s={s})")
     return out
+
+
+def _parse_acyclic(doc: dict, spec: JobSpec):
+    for name in ("n_dim", "q"):
+        if getattr(spec, name) is None:
+            raise InputError(name, "required for acyclic-volume")
+    if doc.get("deg_E") is None:
+        raise InputError("deg_E", "required for acyclic-volume")
+    spec.deg_E = parse_fraction(doc["deg_E"], "deg_E")
+    pairings = doc.get("pairings")
+    if not isinstance(pairings, list):
+        raise InputError("pairings", "expected a list of rationals (s = 0..n_dim)")
+    spec.pairings = tuple(parse_fraction(x, f"pairings[{i}]") for i, x in enumerate(pairings))
+    if len(spec.pairings) != spec.n_dim + 1:
+        raise InputError("pairings", f"expected {spec.n_dim + 1} entries (s = 0..n_dim)")
+    rank = sum(Fraction((-1) ** s, math.factorial(s)) * p for s, p in enumerate(spec.pairings))
+    if rank.denominator != 1 or rank < 1:
+        raise InputError("pairings", f"rank sum (-1)^s P_s/s! must be a positive integer, got {rank}")
+    h = doc.get("h")
+    size = 2 * spec.q
+    if not isinstance(h, list) or not all(isinstance(row, list) for row in h) or len(h) != size:
+        raise InputError("h", f"expected a {size} x {size} matrix (2q x 2q)")
+    for i, row in enumerate(h):
+        if len(row) != size:
+            raise InputError(f"h[{i}]", f"expected {size} entries, got {len(row)}")
+    spec.h = tuple(
+        tuple(parse_fraction(x, f"h[{i}][{j}]") for j, x in enumerate(row))
+        for i, row in enumerate(h)
+    )
+    for i in range(size):
+        for j in range(i, size):
+            if spec.h[i][j] != -spec.h[j][i]:
+                raise InputError(f"h[{i}][{j}]", f"h must be antisymmetric, but h[{j}][{i}] = "
+                                 f"{format_fraction(spec.h[j][i])}")
+    spec.kappa = _parse_kappa(doc.get("kappa", []), spec.q, spec.n_dim)
 
 
 def parse_jobspec(doc: dict) -> JobSpec:
@@ -277,26 +321,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
             raise InputError("suite", f"unknown suite {spec.suite!r}")
 
     if command == "acyclic-volume":
-        for name in ("n_dim", "q"):
-            if getattr(spec, name) is None:
-                raise InputError(name, "required for acyclic-volume")
-        if doc.get("deg_E") is None:
-            raise InputError("deg_E", "required for acyclic-volume")
-        spec.deg_E = parse_fraction(doc["deg_E"], "deg_E")
-        pairings = doc.get("pairings")
-        if not isinstance(pairings, list):
-            raise InputError("pairings", "expected a list of rationals (s = 0..n_dim)")
-        spec.pairings = tuple(
-            parse_fraction(x, f"pairings[{i}]") for i, x in enumerate(pairings)
-        )
-        h = doc.get("h")
-        if not isinstance(h, list) or not all(isinstance(row, list) for row in h):
-            raise InputError("h", "expected a 2q x 2q matrix")
-        spec.h = tuple(
-            tuple(parse_fraction(x, f"h[{i}][{j}]") for j, x in enumerate(row))
-            for i, row in enumerate(h)
-        )
-        spec.kappa = _parse_kappa(doc.get("kappa", []), spec.q)
+        _parse_acyclic(doc, spec)
     elif command == "sweep":
         if doc.get("g_values") is not None:
             spec.g_values = _require_int_list(doc["g_values"], "g_values", _MINIMUM["g"])

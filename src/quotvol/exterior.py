@@ -1,47 +1,65 @@
 """Exterior algebra over a rank-2q lattice.
 
 A form is stored sparsely as a map from strictly increasing index tuples
-``I`` inside ``{1, ..., 2q}`` to coefficients (``Fraction``, or ``TPoly``
-once the stability variable mixes in).  Mixed-degree forms are allowed; the
-graded pieces are recovered with ``component``.  Evaluation against the
-standard basis is the coefficient of the full tuple ``(1, ..., 2q)``, so all
-pairing data must be expressed in a basis compatible with the complex
-orientation.
+``I`` inside ``{1, ..., 2q}`` to ``Fraction`` coefficients.  Mixed-degree
+forms are allowed; the graded pieces are recovered with ``component``.
+Evaluation against the standard basis is the coefficient of the full tuple
+``(1, ..., 2q)``, so all pairing data must be expressed in a basis compatible
+with the complex orientation.
+
+Products work on integers and bitmasks.  Inside a call each key ``I`` becomes
+the mask with bit ``i`` set for ``i`` in ``I``, so two keys are disjoint when
+their masks are, and the shuffle sign of ``I`` followed by ``J`` is the parity
+of ``(p_I & mask_J)``, where ``p_I`` is the XOR of ``(1 << i) - 1`` over
+``i`` in ``I`` (bit ``j`` of ``p_I`` is the parity of the entries of ``I``
+above ``j``).  Each operand's denominators are cleared once, integer
+numerators are accumulated, and one ``Fraction`` is built per output key.
+``exp_graded`` builds exponentials degree by degree and ``top_pairing``
+evaluates a top-degree product without forming it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-from .scalars import TPoly
 
 __all__ = [
     "AltForm",
     "wedge",
     "exp_even",
+    "exp_graded",
     "evaluate_top",
+    "top_pairing",
     "theta_form",
     "standard_symplectic_matrix",
     "standard_symplectic_form",
 ]
 
 
-def _as_coeff(value):
-    if isinstance(value, (Fraction, TPoly)):
+def _as_coeff(value) -> Fraction:
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"coefficients must be exact: {type(value).__name__}")
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Shuffle sign for concatenating two increasing tuples; caller ensures
-    disjointness."""
-    inversions = 0
-    for b in right:
-        inversions += sum(1 for a in left if a > b)
-    return -1 if inversions % 2 else 1
+def _mask_parity(key: tuple[int, ...]) -> tuple[int, int]:
+    """The bitmask of ``key`` and its shuffle-parity mask ``p_I``."""
+    mask = parity = 0
+    for i in key:
+        mask |= 1 << i
+        parity ^= (1 << i) - 1
+    return mask, parity
+
+
+def _key(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(1, n + 1) if mask >> i & 1)
+
+
+def _common_denominator(form: AltForm) -> int:
+    return math.lcm(*(v.denominator for v in form.terms.values()))
 
 
 class AltForm:
@@ -53,11 +71,11 @@ class AltForm:
 
     __slots__ = ("q", "terms")
 
-    def __init__(self, q: int, terms: Mapping[tuple[int, ...], object] | None = None):
+    def __init__(self, q: int, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         if q < 0:
             raise ValueError("q must be non-negative")
         self.q = q
-        out: dict[tuple[int, ...], object] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for key, val in terms.items():
                 key = tuple(key)
@@ -129,7 +147,7 @@ class AltForm:
     def __mul__(self, scalar):
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
-        if not isinstance(scalar, (Fraction, TPoly)):
+        if not isinstance(scalar, Fraction):
             return NotImplemented
         if not scalar:
             return AltForm(self.q)
@@ -144,21 +162,21 @@ class AltForm:
             raise TypeError("wedge expects an AltForm")
         if self.q != other.q:
             raise ValueError("rank mismatch")
-        out: dict[tuple[int, ...], object] = {}
-        for ka, va in self.terms.items():
-            sa = set(ka)
-            for kb, vb in other.terms.items():
-                if sa & set(kb):
+        da, db = _common_denominator(self), _common_denominator(other)
+        right = [(_mask_parity(key)[0], v.numerator * (db // v.denominator))
+                 for key, v in other.terms.items()]
+        acc: dict[int, int] = {}
+        for key, v in self.terms.items():
+            ma, pa = _mask_parity(key)
+            a = v.numerator * (da // v.denominator)
+            for mb, b in right:
+                if ma & mb:
                     continue
-                key = tuple(sorted(ka + kb))
-                term = _merge_sign(ka, kb) * va * vb
-                s = out.get(key, Fraction(0)) + term
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                m = ma | mb
+                acc[m] = acc.get(m, 0) + (-a * b if (pa & mb).bit_count() & 1 else a * b)
+        n, den = 2 * self.q, da * db
         result = AltForm(self.q)
-        result.terms = out
+        result.terms = {_key(m, n): Fraction(c, den) for m, c in acc.items() if c}
         return result
 
     def wedge_power(self, k: int) -> AltForm:
@@ -186,6 +204,25 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     return a.wedge(b)
 
 
+def exp_graded(q: int, pieces: Sequence[AltForm], top: int) -> list[AltForm]:
+    """Graded pieces ``e_0, ..., e_top`` of ``exp(f_1 + f_2 + ...)``, where
+    ``f_i = pieces[i-1]`` is a form of degree 2i.
+
+    Even forms commute, so differentiating ``exp(s F)`` in ``s`` gives
+    ``j e_j = sum_i i f_i ^ e_(j-i)``: only homogeneous pieces are wedged.
+    Pieces above degree 2q vanish.
+    """
+    out = [AltForm.one(q)]
+    for j in range(1, min(top, q) + 1):
+        e = AltForm.zero(q)
+        for i, f in enumerate(pieces[:j], 1):
+            if f and out[j - i]:
+                term = f.wedge(out[j - i]) * Fraction(i, j)
+                e = e + term if e else term
+        out.append(e)
+    return out + [AltForm.zero(q) for _ in range(q + 1, top + 1)]
+
+
 def exp_even(a: AltForm) -> AltForm:
     """``sum a^k / k!`` for a form built from even components of degree >= 2.
 
@@ -196,19 +233,32 @@ def exp_even(a: AltForm) -> AltForm:
             raise ValueError("exponential requires even form")
         if k == 0:
             raise ValueError("exponential of non-nilpotent form")
-    acc = AltForm.one(a.q)
-    term = AltForm.one(a.q)
-    for k in range(1, a.q + 1):
-        term = term.wedge(a) * Fraction(1, k)
-        if not term:
-            break
-        acc = acc + term
-    return acc
+    result = AltForm(a.q)
+    for piece in exp_graded(a.q, [a.component(2 * i) for i in range(1, a.q + 1)], a.q):
+        result.terms.update(piece.terms)  # distinct degrees: keys are disjoint
+    return result
 
 
 def evaluate_top(a: AltForm):
     """Value of the top-degree component on the basis (1, ..., 2q)."""
     return a.terms.get(tuple(range(1, 2 * a.q + 1)), Fraction(0))
+
+
+def top_pairing(a: AltForm, b: AltForm) -> Fraction:
+    """``evaluate_top(a.wedge(b))`` without forming the wedge: each key of
+    ``a`` meets only its complement in ``b``."""
+    if a.q != b.q:
+        raise ValueError("rank mismatch")
+    n = 2 * a.q
+    full = (1 << (n + 1)) - 2
+    total = Fraction(0)
+    for key, va in a.terms.items():
+        ma, pa = _mask_parity(key)
+        rest = full ^ ma
+        vb = b.terms.get(_key(rest, n))
+        if vb is not None:
+            total += -va * vb if (pa & rest).bit_count() & 1 else va * vb
+    return total
 
 
 def theta_form(q: int, h: Sequence[Sequence[Fraction | int]]) -> AltForm:

@@ -1,8 +1,11 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quotvol.abelian import (
     AcyclicData,
@@ -262,3 +265,79 @@ def test_acyclic_volume_rank_two_summand():
     assert v.coefficient(data.dimension) == Fraction(2, math.factorial(data.dimension))
     for t in (Fraction(5), Fraction(31, 3)):
         assert v(t) > 0
+
+
+# ---------------------------------------------------------------------------
+# dense pairing data
+
+def dense_acyclic_data(rng, q, n_dim):
+    """Dense random pairing data: every h entry above the diagonal and every
+    kappa coefficient nonzero, rank between 1 and 3."""
+    size = 2 * q
+    h = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+            h[i][j], h[j][i] = c, -c
+    p = [Fraction(0)] * (n_dim + 1)
+    for s in range(1, n_dim + 1):
+        p[s] = Fraction(rng.randint(-3, 3) * math.factorial(s))
+    p[0] = rng.randint(1, 3) - sum(
+        Fraction((-1) ** s) * p[s] / math.factorial(s) for s in range(1, n_dim + 1)
+    )
+    kappa = {}
+    for i in range(1, q + 1):
+        for s in range(n_dim - i + 1):
+            kappa[(i, s)] = AltForm(q, {
+                key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+                for key in itertools.combinations(range(1, size + 1), 2 * i)
+            })
+    return AcyclicData(n=n_dim, q=q, deg_E=Fraction(rng.randint(-8, 8), rng.randint(1, 2)),
+                       pairings=tuple(p), h=tuple(map(tuple, h)), kappa_forms=kappa)
+
+
+def test_dense_acyclic_volumes_pinned():
+    # literals recorded from the earlier tuple-keyed wedge and full exp series
+    data = dense_acyclic_data(random.Random(41), q=4, n_dim=2)
+    assert (data.rank, data.dimension) == (3, 6)
+    assert acyclic_volume(data) == TPoly(tuple(map(Fraction, (
+        "-1073907/1280", "4155/128", "67279/256", "-1963/64", "-15419/768", "2167/640",
+        "25/2304",
+    ))))
+    data = dense_acyclic_data(random.Random(43), q=5, n_dim=1)
+    assert (data.rank, data.dimension) == (1, 5)
+    assert acyclic_volume(data) == TPoly(tuple(map(Fraction, (
+        "5075201/15", "425651/3", "155225/6", "127181/48", "14201/96", "1589/480",
+    ))))
+
+
+def odd(seq):
+    return sum(1 for a, b in itertools.combinations(seq, 2) if a > b) % 2
+
+
+def push_forward(data, perm):
+    """The same pairing data after basis vector k becomes vector perm[k]."""
+    size = 2 * data.q
+    h = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            h[perm[i]][perm[j]] = data.h[i][j]
+    kappa = {}
+    for index, form in data.kappa_forms.items():
+        terms = {}
+        for key, c in form.terms.items():
+            image = [perm[k - 1] + 1 for k in key]
+            terms[tuple(sorted(image))] = -c if odd(image) else c
+        kappa[index] = AltForm(data.q, terms)
+    return AcyclicData(n=data.n, q=data.q, deg_E=data.deg_E, pairings=data.pairings,
+                       h=tuple(map(tuple, h)), kappa_forms=kappa)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(0, 2 ** 32), st.data())
+def test_acyclic_volume_invariant_under_even_permutation(q, n_dim, seed, draw):
+    data = dense_acyclic_data(random.Random(seed), q, n_dim)
+    perm = draw.draw(st.permutations(range(2 * q)))
+    if odd(perm):
+        perm[0], perm[1] = perm[1], perm[0]
+    assert acyclic_volume(push_forward(data, perm)) == acyclic_volume(data)

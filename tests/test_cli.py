@@ -9,6 +9,12 @@ from quotvol.scalars import TPoly
 import pytest
 
 
+# a valid acyclic-volume document: genus 1, d = 1, deg_E = -1
+ACYCLIC = {"command": "acyclic-volume", "n_dim": 1, "q": 1, "deg_E": "-1/1",
+           "pairings": ["0/1", "-1/1"], "h": [[0, 1], [-1, 0]],
+           "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}
+
+
 def run_cli(args, stdin_text=""):
     return subprocess.run(
         [sys.executable, "-m", "quotvol.cli", *args],
@@ -85,17 +91,7 @@ def test_ttilde_value_flag():
 
 
 def test_acyclic_volume_json():
-    doc = {
-        "schema": 1,
-        "command": "acyclic-volume",
-        "n_dim": 1,
-        "q": 1,
-        "deg_E": "-1/1",
-        "pairings": ["0/1", "-1/1"],
-        "h": [[0, 1], [-1, 0]],
-        "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}],
-    }
-    proc = run_cli(["acyclic-volume"], json.dumps(doc))
+    proc = run_cli(["acyclic-volume"], json.dumps({"schema": 1, **ACYCLIC}))
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     # genus 1, d = 1, deg_E = -1: volume = ttilde
@@ -160,15 +156,21 @@ def test_exit_code_on_input_error():
     assert "schema" in proc.stderr
 
 
-def test_exit_code_on_computation_error():
-    # rank sum is 1/2: rejected by the algebra layer, not the schema
-    doc = {
-        "command": "acyclic-volume", "n_dim": 1, "q": 0, "deg_E": "0/1",
-        "pairings": ["1/2", "0/1"], "h": [],
-    }
-    proc = run_cli(["acyclic-volume"], json.dumps(doc))
-    assert proc.returncode == 3
-    assert "computation error" in proc.stderr
+def test_exit_code_on_computation_error(monkeypatch, capsys):
+    # input validation catches every bad acyclic document, so fail the algebra
+    # layer directly to pin the exit code of a computation error
+    import io
+
+    import quotvol.cli as cli
+
+    def failing(data):
+        raise ArithmeticError("integrality violated")
+
+    monkeypatch.setattr(cli, "acyclic_volume", failing)
+    doc = {"n_dim": 1, "q": 0, "deg_E": "0/1", "pairings": ["1/1", "0/1"], "h": []}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["acyclic-volume"]) == 3
+    assert "computation error" in capsys.readouterr().err
 
 
 def test_stdout_deterministic_and_round_trips():
@@ -250,6 +252,18 @@ def test_negative_sweep_genus_is_an_input_error():
           "h": []}, "n_dim"),
         ({"command": "acyclic-volume", "n_dim": 1, "q": -1, "deg_E": 0, "pairings": [1, 0],
           "h": []}, "q"),
+        ({**ACYCLIC, "h": [[0]]}, "h"),
+        ({**ACYCLIC, "h": [[0, 1], [-1]]}, "h[1]"),
+        ({**ACYCLIC, "h": [[0, 1], [1, 0]]}, "h[0][1]"),
+        ({**ACYCLIC, "h": [[1, 1], [-1, 0]]}, "h[0][0]"),
+        ({**ACYCLIC, "pairings": ["1/1"]}, "pairings"),
+        ({**ACYCLIC, "pairings": ["1/1", "0/1", "0/1"]}, "pairings"),
+        ({**ACYCLIC, "pairings": ["1/2", "0/1"]}, "pairings"),
+        ({**ACYCLIC, "pairings": ["0/1", "1/1"]}, "pairings"),
+        ({**ACYCLIC, "kappa": []}, "kappa"),
+        ({**ACYCLIC, "kappa": [{"i": 2, "s": 0, "terms": []}]}, "kappa[0]"),
+        ({**ACYCLIC, "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1], "coeff": 1}]}]},
+         "kappa[0].terms[0].indices"),
     ],
 )
 def test_domain_bounds_name_the_field(doc, field_name):
@@ -278,3 +292,11 @@ def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):
     result = run_job(spec)
     assert result["degree"] == 8
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("change", [{"q": 1, "h": [[0]]}, {"pairings": ["1/2", "0/1"]},
+                                    {"kappa": []}])
+def test_bad_acyclic_input_exits_2(change):
+    proc = run_cli(["acyclic-volume"], json.dumps({**ACYCLIC, **change}))
+    assert proc.returncode == 2, proc.stderr
+    assert "input error at" in proc.stderr

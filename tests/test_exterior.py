@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quotvol.exterior import (
     AltForm,
@@ -12,8 +14,11 @@ from quotvol.exterior import (
     standard_symplectic_form,
     standard_symplectic_matrix,
     theta_form,
+    top_pairing,
     wedge,
 )
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
 def pfaffian(h):
@@ -156,3 +161,76 @@ def test_invalid_keys_rejected():
         AltForm(2, {(2, 1): 1})
     with pytest.raises(ValueError, match="out of range"):
         AltForm(1, {(3,): 1})
+
+
+# ---------------------------------------------------------------------------
+# differential tests against a naive tuple-keyed wedge
+
+def _merge_sign(left, right):
+    inversions = 0
+    for b in right:
+        inversions += sum(1 for a in left if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def naive_wedge(a, b):
+    """Reference product: per pair of keys, a set disjointness test, a sort
+    and an O(k^2) inversion count for the shuffle sign."""
+    out = {}
+    for ka, va in a.terms.items():
+        sa = set(ka)
+        for kb, vb in b.terms.items():
+            if sa & set(kb):
+                continue
+            key = tuple(sorted(ka + kb))
+            out[key] = out.get(key, Fraction(0)) + _merge_sign(ka, kb) * va * vb
+    return AltForm(a.q, out)
+
+
+COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def forms(q, degrees):
+    keys = [key for k in degrees if k <= 2 * q
+            for key in itertools.combinations(range(1, 2 * q + 1), k)]
+    if not keys:
+        return st.just(AltForm(q))
+    return st.dictionaries(st.sampled_from(keys), COEFFS, max_size=12).map(
+        lambda terms: AltForm(q, terms))
+
+
+@st.composite
+def form_pairs(draw):
+    q = draw(st.integers(0, 4))
+    return draw(forms(q, range(9))), draw(forms(q, range(9)))
+
+
+@PROPERTY
+@given(form_pairs())
+@example((AltForm.scalar(0, Fraction(2, 3)), AltForm.scalar(0, -5)))
+@example((AltForm(3), AltForm.basis(3, (1, 4))))
+def test_wedge_matches_naive_oracle(pair):
+    a, b = pair
+    assert a.wedge(b) == naive_wedge(a, b)
+
+
+@PROPERTY
+@given(form_pairs())
+def test_top_pairing_is_top_of_wedge(pair):
+    a, b = pair
+    assert top_pairing(a, b) == evaluate_top(a.wedge(b))
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(lambda q: forms(q, (2, 4))))
+def test_exp_even_matches_power_series(a):
+    want, power = AltForm.one(a.q), AltForm.one(a.q)
+    for k in range(1, a.q + 1):
+        power = naive_wedge(power, a)
+        want = want + power * Fraction(1, math.factorial(k))
+    assert exp_even(a) == want
+
+
+def test_top_pairing_rank_mismatch():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        top_pairing(AltForm.one(1), AltForm.one(2))
