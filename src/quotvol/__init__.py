@@ -15,9 +15,7 @@ The ``quotvol`` command line exposes all of it on JSON job documents.
 """
 
 from .scalars import (
-    Rational,
     TPoly,
-    TTILDE,
     TruncSeries,
     ULaurent,
     falling_factorial,
@@ -68,9 +66,7 @@ from .grothendieck import EmbeddingParams, embedding_params, grothendieck_degree
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "TPoly",
-    "TTILDE",
     "ULaurent",
     "TruncSeries",
     "falling_factorial",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -31,7 +30,7 @@ from .exterior import (
     theta_form,
     top_pairing,
 )
-from .scalars import TPoly
+from .scalars import Record, TPoly
 
 __all__ = [
     "CurveQuotProblem",
@@ -48,23 +47,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class CurveQuotProblem:
+class CurveQuotProblem(Record):
     """Rank-1 kernel data on a genus-g curve.
 
     ``d = deg(E_0) - deg(E)`` is the length of the quotient; the Quot space
     is the d-th symmetric power of the curve.
     """
 
-    g: int
-    deg_E: int
-    d: int
+    __slots__ = ("g", "deg_E", "d")
 
-    def __post_init__(self):
-        if self.g < 0:
+    def __init__(self, g: int, deg_E: int, d: int):
+        if g < 0:
             raise ValueError("genus must be non-negative")
-        if self.d < 0:
+        if d < 0:
             raise ValueError("d must be non-negative")
+        super().__init__(g, deg_E, d)
 
 
 def poincare_number(g: int, a: int, b: int) -> Fraction:
@@ -152,46 +149,56 @@ def chern_from_ch(ch: Sequence[AltForm], top_degree: int) -> list[AltForm]:
     return _char_exp(ch, top_degree, -1)
 
 
-@dataclass(frozen=True)
-class AcyclicData:
+class AcyclicData(Record):
     """Pairing data describing an acyclic pair on an n-dimensional base.
 
     ``pairings[s]`` is the number ``<m^s C_(n-s), [X]>`` (``C_i`` the
     degree-2i pieces of ``ch(E_0) td(X)``), ``deg_E`` is
     ``<m [omega]^(n-1), [X]>``, ``h`` the antisymmetric pairing matrix behind
     the theta class, and ``kappa_forms[(i, s)]`` the degree-2i form
-    ``x_1, ..., x_2i -> <x_1 ... x_2i m^s C_(n-i-s), [X]>``.
+    ``x_1, ..., x_2i -> <x_1 ... x_2i m^s C_(n-i-s), [X]>``.  Records compare
+    by value; holding a dict, they do not hash.
     """
 
-    n: int
-    q: int
-    deg_E: Fraction
-    pairings: tuple[Fraction, ...]
-    h: tuple[tuple[Fraction, ...], ...]
-    kappa_forms: Mapping[tuple[int, int], AltForm] = field(default_factory=dict)
+    __slots__ = ("n", "q", "deg_E", "pairings", "h", "kappa_forms")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(
+        self,
+        n: int,
+        q: int,
+        deg_E: Fraction | int,
+        pairings: Sequence[Fraction | int],
+        h: Sequence[Sequence[Fraction | int]],
+        kappa_forms: Mapping[tuple[int, int], AltForm] | None = None,
+    ):
+        if n < 1:
             raise ValueError("base dimension must be positive")
-        if self.q < 0:
+        if q < 0:
             raise ValueError("q must be non-negative")
-        object.__setattr__(self, "deg_E", Fraction(self.deg_E))
-        object.__setattr__(self, "pairings", tuple(Fraction(p) for p in self.pairings))
-        object.__setattr__(self, "h", tuple(tuple(Fraction(x) for x in row) for row in self.h))
-        if len(self.pairings) != self.n + 1:
+        if kappa_forms is None:
+            kappa_forms = {}
+        super().__init__(
+            n,
+            q,
+            Fraction(deg_E),
+            tuple(Fraction(p) for p in pairings),
+            tuple(tuple(Fraction(x) for x in row) for row in h),
+            kappa_forms,
+        )
+        if len(self.pairings) != n + 1:
             raise ValueError("need pairings for s = 0..n")
         rank = self.rank
         if rank.denominator != 1 or rank < 1:
             raise ValueError(f"rank sum(-1)^s P_s/s! must be a positive integer, got {rank}")
-        for (i, s), form in self.kappa_forms.items():
-            if not (1 <= i <= self.q and 0 <= s <= self.n - i):
+        for (i, s), form in kappa_forms.items():
+            if not (1 <= i <= q and 0 <= s <= n - i):
                 raise ValueError(f"kappa index {(i, s)} out of range")
-            if form.q != self.q:
+            if form.q != q:
                 raise ValueError("rank mismatch in kappa form")
             if any(k != 2 * i for k in form.degrees()):
                 raise ValueError("graded degree error")
         # antisymmetry of h is re-checked by theta_form at evaluation time
-        if len(self.h) != 2 * self.q or any(len(row) != 2 * self.q for row in self.h):
+        if len(self.h) != 2 * q or any(len(row) != 2 * q for row in self.h):
             raise ValueError("h must be 2q x 2q")
 
     @property

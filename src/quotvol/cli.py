@@ -17,7 +17,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -36,7 +35,7 @@ from .localization import (
     quot_volume,
     verify_weight_independence,
 )
-from .scalars import TPoly
+from .scalars import Record, TPoly
 
 __all__ = ["JobSpec", "InputError", "parse_jobspec", "run_job", "sweep", "main"]
 
@@ -151,33 +150,54 @@ def volume_document(p: TPoly) -> dict:
 # ---------------------------------------------------------------------------
 # job specification
 
-@dataclass
-class JobSpec:
-    command: str
-    out_format: str = "json"
-    g: int | None = None
-    r: int | None = None
-    l: tuple[int, ...] | None = None
-    d: int | None = None
-    n: int | None = None
-    t_mode: str = "ttilde-symbolic"
-    t_value: Fraction | None = None
-    vol_X: Fraction | None = None
-    pi_probe: Fraction | None = None
-    weights: tuple[WeightVector, ...] | None = None
-    suite: str | None = None
-    # acyclic payload
-    n_dim: int | None = None
-    q: int | None = None
-    deg_E: Fraction | None = None
-    pairings: tuple[Fraction, ...] | None = None
-    h: tuple[tuple[Fraction, ...], ...] | None = None
-    kappa: dict[tuple[int, int], AltForm] | None = None
-    # sweep ranges
-    g_values: tuple[int, ...] | None = None
-    d_values: tuple[int, ...] | None = None
-    l_partitions: tuple[tuple[int, ...], ...] | None = None
-    echo: dict = field(default_factory=dict)
+class JobSpec(Record):
+    """A parsed job.  Unlike the other records it is mutable (and so not
+    hashable): ``parse_jobspec`` fills it in field by field."""
+
+    __slots__ = (
+        "command", "out_format", "g", "r", "l", "d", "n", "t_mode", "t_value",
+        "vol_X", "pi_probe", "weights", "suite",
+        # acyclic payload
+        "n_dim", "q", "deg_E", "pairings", "h", "kappa",
+        # sweep ranges
+        "g_values", "d_values", "l_partitions",
+        "echo",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        command: str,
+        out_format: str = "json",
+        g: int | None = None,
+        r: int | None = None,
+        l: tuple[int, ...] | None = None,
+        d: int | None = None,
+        n: int | None = None,
+        t_mode: str = "ttilde-symbolic",
+        t_value: Fraction | None = None,
+        vol_X: Fraction | None = None,
+        pi_probe: Fraction | None = None,
+        weights: tuple[WeightVector, ...] | None = None,
+        suite: str | None = None,
+        n_dim: int | None = None,
+        q: int | None = None,
+        deg_E: Fraction | None = None,
+        pairings: tuple[Fraction, ...] | None = None,
+        h: tuple[tuple[Fraction, ...], ...] | None = None,
+        kappa: dict[tuple[int, int], AltForm] | None = None,
+        g_values: tuple[int, ...] | None = None,
+        d_values: tuple[int, ...] | None = None,
+        l_partitions: tuple[tuple[int, ...], ...] | None = None,
+        echo: dict | None = None,
+    ):
+        super().__init__(
+            command, out_format, g, r, l, d, n, t_mode, t_value, vol_X, pi_probe,
+            weights, suite, n_dim, q, deg_E, pairings, h, kappa,
+            g_values, d_values, l_partitions, {} if echo is None else echo,
+        )
 
 
 def _parse_t_section(doc: dict, spec: JobSpec):

@@ -13,24 +13,23 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .localization import QuotProblem, quot_volume
-from .scalars import TPoly
+from .scalars import Record, TPoly
 
 __all__ = ["EmbeddingParams", "embedding_params", "grothendieck_degree"]
 
 
-@dataclass(frozen=True, slots=True)
-class EmbeddingParams:
+class EmbeddingParams(Record):
     """Numerical data of the twist-n embedding: ``s`` is the dimension of the
     section spaces cut out by subsheaves, ``ambient`` the dimension of the
     target projective space (-1 when the exterior power collapses)."""
 
-    n: int
-    s: int
-    ambient: int
+    __slots__ = ("n", "s", "ambient")
+
+    def __init__(self, n: int, s: int, ambient: int):
+        super().__init__(n, s, ambient)
 
 
 def embedding_params(p: QuotProblem, n: int) -> EmbeddingParams:

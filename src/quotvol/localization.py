@@ -44,11 +44,11 @@ freedom is kept as an end-to-end consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .scalars import (
+    Record,
     TPoly,
     TruncSeries,
     ULaurent,
@@ -74,28 +74,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class QuotProblem:
+class QuotProblem(Record):
     """Full-rank Quot problem: genus ``g``, splitting degrees ``l``, total
     colength ``d``.  ``ttilde`` optionally records a rational sample point;
     the volume itself is always returned as a polynomial."""
 
-    g: int
-    r: int
-    l: tuple[int, ...]
-    d: int
-    ttilde: Fraction | None = None
+    __slots__ = ("g", "r", "l", "d", "ttilde")
 
-    def __post_init__(self):
-        object.__setattr__(self, "l", tuple(int(x) for x in self.l))
-        if self.g < 0:
+    def __init__(self, g: int, r: int, l: Sequence[int], d: int, ttilde: Fraction | None = None):
+        l = tuple(int(x) for x in l)
+        if g < 0:
             raise ValueError("genus must be non-negative")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("rank must be positive")
-        if self.d < 0:
+        if d < 0:
             raise ValueError("d must be non-negative")
-        if len(self.l) != self.r:
+        if len(l) != r:
             raise ValueError("l must list one degree per summand")
+        super().__init__(g, r, l, d, ttilde)
 
     @property
     def l_total(self) -> int:
@@ -110,32 +106,32 @@ class QuotProblem:
         return Fraction(self.l_total, self.r)
 
 
-@dataclass(frozen=True, slots=True)
-class Composition:
+class Composition(Record):
     """Weak composition (d_1, ..., d_r); indexes one fixed-point component."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(x) for x in self.parts))
-        if any(p < 0 for p in self.parts):
+    def __init__(self, parts: Sequence[int]):
+        parts = tuple(int(x) for x in parts)
+        if any(p < 0 for p in parts):
             raise ValueError("parts must be non-negative")
+        super().__init__(parts)
 
     @property
     def total(self) -> int:
         return sum(self.parts)
 
 
-@dataclass(frozen=True, slots=True)
-class WeightVector:
+class WeightVector(Record):
     """Pairwise distinct rational torus weights."""
 
-    w: tuple[Fraction, ...]
+    __slots__ = ("w",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", tuple(Fraction(x) for x in self.w))
-        if len(set(self.w)) != len(self.w):
+    def __init__(self, w: Sequence[Fraction | int]):
+        w = tuple(Fraction(x) for x in w)
+        if len(set(w)) != len(w):
             raise ValueError("weights must be pairwise distinct")
+        super().__init__(w)
 
 
 def default_weights(r: int) -> WeightVector:
@@ -383,10 +379,11 @@ def quot_volume(p: QuotProblem, w: WeightVector | None = None) -> TPoly:
     return total * Fraction(_sign(p), math.factorial(p.r * p.d))
 
 
-@dataclass(frozen=True, slots=True)
-class WeightIndependenceReport:
-    passed: bool
-    volumes: tuple[tuple[WeightVector, TPoly], ...]
+class WeightIndependenceReport(Record):
+    __slots__ = ("passed", "volumes")
+
+    def __init__(self, passed: bool, volumes: tuple[tuple[WeightVector, TPoly], ...]):
+        super().__init__(passed, volumes)
 
 
 def verify_weight_independence(

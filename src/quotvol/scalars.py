@@ -21,6 +21,9 @@ its oracle, and ``ULaurent`` also carries the ``u^0`` guard.
 
 All values are immutable after construction and all operations are pure, so
 instances may be shared freely across threads.
+
+``Record`` is the base of the package's parameter records (``QuotProblem``
+and the like); it lives here because every module imports this one.
 """
 
 from __future__ import annotations
@@ -29,12 +32,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "TPoly",
-    "TTILDE",
     "ULaurent",
     "TruncSeries",
     "falling_factorial",
@@ -67,6 +66,47 @@ def general_binomial(e: int, k: int) -> Fraction:
     for i in range(k):
         num *= e - i
     return Fraction(num, math.factorial(k))
+
+
+class Record:
+    """Immutable value record whose fields are the subclass's ``__slots__``.
+
+    Records compare and hash as the tuple of their fields, print as
+    ``Name(field=value, ...)`` and refuse assignment once built.  A subclass
+    ``__init__`` normalizes its arguments and passes them here in field
+    order.  This stands in for ``dataclasses``, whose import (it loads
+    ``inspect``) is a large share of a ``quotvol`` process start.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _as_fraction(value) -> Fraction:
@@ -221,9 +261,6 @@ class TPoly:
 
     def __repr__(self) -> str:
         return f"TPoly('{self._plain()}')"
-
-
-TTILDE = TPoly.variable()
 
 
 class ULaurent:
