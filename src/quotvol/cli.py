@@ -44,14 +44,17 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 
-COMMANDS = (
-    "abelian-volume",
-    "acyclic-volume",
-    "quot-volume",
-    "grothendieck-degree",
-    "verify",
-    "sweep",
-)
+# The fields each command needs.  A tuple entry is met by any one of its
+# names: a sweep takes a single value or a range.
+_REQUIRED = {
+    "abelian-volume": ("g", "l", "d"),
+    "acyclic-volume": ("n_dim", "q", "deg_E"),
+    "quot-volume": ("g", "r", "l", "d"),
+    "grothendieck-degree": ("g", "r", "l", "d", "n"),
+    "verify": ("g", "r", "l", "d"),
+    "sweep": ("r", ("g", "g_values"), ("d", "d_values"), ("l", "l_partitions")),
+}
+COMMANDS = tuple(_REQUIRED)
 
 TTILDE_CHAR = "\U0001d531"  # fraktur t, used only in plain rendering
 
@@ -118,33 +121,16 @@ def render_plain(p: TPoly) -> str:
 
 def _latex_coeff(c: Fraction) -> str:
     if c.denominator == 1:
-        return str(abs(c.numerator))
-    return rf"\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+        return str(c.numerator)
+    return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
+
+
+def _latex_power(k: int) -> str:
+    return r"\mathfrak{t}" if k == 1 else rf"\mathfrak{{t}}^{{{k}}}"
 
 
 def render_latex(p: TPoly) -> str:
-    if not p.coeffs:
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if c == 0:
-            continue
-        if k == 0:
-            body = _latex_coeff(c)
-        else:
-            tpow = r"\mathfrak{t}" if k == 1 else rf"\mathfrak{{t}}^{{{k}}}"
-            mag = _latex_coeff(c)
-            body = tpow if abs(c) == 1 else mag + tpow
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
-
-
-def volume_document(p: TPoly) -> dict:
-    return {"variable": "ttilde", "coefficients": poly_coefficients(p)}
+    return p.format_terms(_latex_coeff, _latex_power, "")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +227,14 @@ def _parse_weights(doc: dict, spec: JobSpec):
         except ValueError as exc:
             raise InputError(f"weights[{vi}]", str(exc)) from None
     spec.weights = tuple(parsed)
+    if spec.command == "quot-volume" and len(parsed) != 1:
+        raise InputError("weights", "quot-volume takes a single weight vector")
+    if spec.command == "verify" and len(parsed) == 1:
+        raise InputError("weights", "verify needs at least two weight vectors")
+    if spec.command in ("quot-volume", "verify"):
+        for vi, w in enumerate(parsed):
+            if len(w.w) != spec.r:
+                raise InputError(f"weights[{vi}]", f"expected {spec.r} weights")
 
 
 def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
@@ -255,6 +249,8 @@ def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
         s = _require_int(entry.get("s"), f"kappa[{idx}].s")
         if not (1 <= i <= q and 0 <= s <= n_dim - i):
             raise InputError(f"kappa[{idx}]", f"(i, s) = ({i}, {s}) out of range")
+        if (i, s) in out:
+            raise InputError(f"kappa[{idx}]", f"duplicate form (i={i}, s={s})")
         terms = entry.get("terms")
         if not isinstance(terms, list):
             raise InputError(f"kappa[{idx}].terms", "expected a list")
@@ -265,6 +261,9 @@ def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
             indices = _require_int_list(term.get("indices"), f"kappa[{idx}].terms[{ti}].indices")
             if len(indices) != 2 * i:
                 raise InputError(f"kappa[{idx}].terms[{ti}].indices", f"expected {2 * i} indices")
+            if indices in form_terms:
+                raise InputError(f"kappa[{idx}].terms[{ti}].indices",
+                                 f"duplicate indices {list(indices)}")
             coeff = parse_fraction(term.get("coeff"), f"kappa[{idx}].terms[{ti}].coeff")
             form_terms[indices] = coeff
         try:
@@ -279,11 +278,6 @@ def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
 
 
 def _parse_acyclic(doc: dict, spec: JobSpec):
-    for name in ("n_dim", "q"):
-        if getattr(spec, name) is None:
-            raise InputError(name, "required for acyclic-volume")
-    if doc.get("deg_E") is None:
-        raise InputError("deg_E", "required for acyclic-volume")
     spec.deg_E = parse_fraction(doc["deg_E"], "deg_E")
     pairings = doc.get("pairings")
     if not isinstance(pairings, list):
@@ -314,7 +308,9 @@ def _parse_acyclic(doc: dict, spec: JobSpec):
 
 
 def parse_jobspec(doc: dict) -> JobSpec:
-    """Validate a job document and normalize it into a JobSpec."""
+    """Validate a job document and normalize it into a JobSpec.
+
+    Every input check runs here, so ``run_job`` only computes."""
     if not isinstance(doc, dict):
         raise InputError("$", "input document must be a JSON object")
     if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
@@ -325,6 +321,12 @@ def parse_jobspec(doc: dict) -> JobSpec:
     out_format = doc.get("format", "json")
     if out_format not in ("json", "latex", "plain"):
         raise InputError("format", "expected one of json, latex, plain")
+    for need in _REQUIRED[command]:
+        if isinstance(need, str):
+            if doc.get(need) is None:
+                raise InputError(need, f"required for {command}")
+        elif all(doc.get(name) is None for name in need):
+            raise InputError(need[0], f"{command} needs {' or '.join(need)}")
     spec = JobSpec(command=command, out_format=out_format, echo=doc)
 
     for name in ("g", "r", "d", "n", "n_dim", "q"):
@@ -355,39 +357,15 @@ def parse_jobspec(doc: dict) -> JobSpec:
                 _require_int_list(part, f"l_partitions[{i}]") for i, part in enumerate(lp)
             )
 
-    _check_required(spec)
-    return spec
-
-
-def _check_required(spec: JobSpec):
-    needed: dict[str, tuple[str, ...]] = {
-        "abelian-volume": ("g", "l", "d"),
-        "acyclic-volume": (),
-        "quot-volume": ("g", "r", "l", "d"),
-        "grothendieck-degree": ("g", "r", "l", "d", "n"),
-        "verify": ("g", "r", "l", "d"),
-        "sweep": ("r",),
-    }
-    for name in needed[spec.command]:
-        if getattr(spec, name) is None:
-            raise InputError(name, f"required for {spec.command}")
-    if spec.command == "abelian-volume" and len(spec.l) != 1:
+    # a degree list has one entry per summand: one on a curve, else r
+    if command == "abelian-volume" and len(spec.l) != 1:
         raise InputError("l", "abelian-volume takes a single degree [deg_E0]")
-    if spec.command in ("quot-volume", "grothendieck-degree", "verify"):
-        if len(spec.l) != spec.r:
-            raise InputError("l", f"expected {spec.r} entries, got {len(spec.l)}")
-    if spec.command == "sweep":
-        if spec.g is None and spec.g_values is None:
-            raise InputError("g", "sweep needs g or g_values")
-        if spec.d is None and spec.d_values is None:
-            raise InputError("d", "sweep needs d or d_values")
-        if spec.l is None and spec.l_partitions is None:
-            raise InputError("l", "sweep needs l or l_partitions")
-        for i, part in enumerate(spec.l_partitions or ()):
-            if len(part) != spec.r:
-                raise InputError(f"l_partitions[{i}]", f"expected {spec.r} entries")
-        if spec.l is not None and len(spec.l) != spec.r:
-            raise InputError("l", f"expected {spec.r} entries, got {len(spec.l)}")
+    if "r" in _REQUIRED[command]:
+        parts = enumerate(spec.l_partitions or ())
+        for name, part in (("l", spec.l), *((f"l_partitions[{i}]", p) for i, p in parts)):
+            if part is not None and len(part) != spec.r:
+                raise InputError(name, f"expected {spec.r} entries, got {len(part)}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +430,14 @@ def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
     )
 
 
-def _result_skeleton(spec: JobSpec) -> dict:
-    return {"schema": SCHEMA_VERSION, "input": spec.echo}
-
-
-def _attach_volume(result: dict, spec: JobSpec, volume: TPoly, dim: int, base_dim: int = 1):
-    result["volume"] = volume_document(volume)
-    t_report = _t_report(spec, volume, dim, base_dim)
-    if t_report is not None:
-        result["t"] = t_report
+def _emit_volume(out: dict, spec: JobSpec, volume: TPoly, **extra) -> dict:
+    """Add ``volume``, then each ``extra`` field that is not None, then
+    ``latex`` when asked for; this fixes the key order of stdout."""
+    out["volume"] = {"variable": "ttilde", "coefficients": poly_coefficients(volume)}
+    out.update((key, value) for key, value in extra.items() if value is not None)
     if spec.out_format == "latex":
-        result["latex"] = render_latex(volume)
+        out["latex"] = render_latex(volume)
+    return out
 
 
 def _quot_problem(spec: JobSpec) -> QuotProblem:
@@ -470,22 +445,20 @@ def _quot_problem(spec: JobSpec) -> QuotProblem:
 
 
 def run_job(spec: JobSpec) -> dict:
-    """Execute one job and return the result document."""
-    result = _result_skeleton(spec)
-    command = spec.command
-
-    if command == "abelian-volume":
+    """Execute one job that ``parse_jobspec`` accepted; return the result document."""
+    if spec.command == "sweep":
+        return sweep(spec)
+    result = {"schema": SCHEMA_VERSION, "input": spec.echo}
+    if spec.command == "abelian-volume":
         problem = CurveQuotProblem(g=spec.g, deg_E=spec.l[0] - spec.d, d=spec.d)
         volume = symmetric_power_volume(problem)
-        _attach_volume(result, spec, volume, dim=spec.d)
+        _emit_volume(result, spec, volume, t=_t_report(spec, volume, spec.d))
         result["unnormalized"] = {"expression": f"(4*pi^2)^{spec.d} * volume"}
         if spec.pi_probe is not None:
             result["unnormalized"]["factor_at_pi_probe"] = format_fraction(
                 (4 * spec.pi_probe ** 2) ** spec.d
             )
-        return result
-
-    if command == "acyclic-volume":
+    elif spec.command == "acyclic-volume":
         data = AcyclicData(
             n=spec.n_dim,
             q=spec.q,
@@ -495,38 +468,17 @@ def run_job(spec: JobSpec) -> dict:
             kappa_forms=spec.kappa or {},
         )
         volume = acyclic_volume(data)
-        _attach_volume(result, spec, volume, dim=data.dimension, base_dim=data.n)
-        return result
-
-    if command == "quot-volume":
-        problem = _quot_problem(spec)
-        if spec.weights is not None and len(spec.weights) != 1:
-            raise InputError("weights", "quot-volume takes a single weight vector")
-        w = spec.weights[0] if spec.weights else None
-        if w is not None and len(w.w) != spec.r:
-            raise InputError("weights[0]", f"expected {spec.r} weights")
-        volume = quot_volume(problem, w)
-        _attach_volume(result, spec, volume, dim=spec.r * spec.d)
-        return result
-
-    if command == "grothendieck-degree":
+        _emit_volume(result, spec, volume, t=_t_report(spec, volume, data.dimension, data.n))
+    elif spec.command == "quot-volume":
+        volume = quot_volume(_quot_problem(spec), spec.weights[0] if spec.weights else None)
+        _emit_volume(result, spec, volume, t=_t_report(spec, volume, spec.r * spec.d))
+    elif spec.command == "grothendieck-degree":
         problem = _quot_problem(spec)
         volume = quot_volume(problem)
-        result["volume"] = volume_document(volume)
-        result["degree"] = grothendieck_degree(problem, spec.n, volume)
-        if spec.out_format == "latex":
-            result["latex"] = render_latex(volume)
-        return result
-
-    if command == "verify":
-        problem = _quot_problem(spec)
-        candidates = spec.weights if spec.weights else _default_verify_weights(spec.r)
-        if len(candidates) < 2:
-            raise InputError("weights", "verify needs at least two weight vectors")
-        for vi, w in enumerate(candidates):
-            if len(w.w) != spec.r:
-                raise InputError(f"weights[{vi}]", f"expected {spec.r} weights")
-        report = verify_weight_independence(problem, candidates)
+        _emit_volume(result, spec, volume, degree=grothendieck_degree(problem, spec.n, volume))
+    else:  # verify
+        candidates = spec.weights or _default_verify_weights(spec.r)
+        report = verify_weight_independence(_quot_problem(spec), candidates)
         result["verify"] = {
             "suite": "weight-independence",
             "pass": report.passed,
@@ -539,38 +491,20 @@ def run_job(spec: JobSpec) -> dict:
                 for w, v in report.volumes
             ],
         }
-        return result
-
-    if command == "sweep":
-        return sweep(spec)
-
-    raise InputError("command", f"unhandled command {command!r}")  # pragma: no cover
+    return result
 
 
 def sweep(spec: JobSpec) -> dict:
     """One volume row per (g, d, l-partition), in deterministic range order."""
-    result = _result_skeleton(spec)
     gs = spec.g_values if spec.g_values is not None else (spec.g,)
     ds = spec.d_values if spec.d_values is not None else (spec.d,)
     partitions = spec.l_partitions if spec.l_partitions is not None else (spec.l,)
-    rows = []
-    for g in gs:
-        for d in ds:
-            for part in partitions:
-                problem = QuotProblem(g=g, r=spec.r, l=part, d=d)
-                volume = quot_volume(problem)
-                row = {
-                    "g": g,
-                    "r": spec.r,
-                    "d": d,
-                    "l": list(part),
-                    "volume": volume_document(volume),
-                }
-                if spec.out_format == "latex":
-                    row["latex"] = render_latex(volume)
-                rows.append(row)
-    result["rows"] = rows
-    return result
+    rows = [
+        _emit_volume({"g": g, "r": spec.r, "d": d, "l": list(part)}, spec,
+                     quot_volume(QuotProblem(g=g, r=spec.r, l=part, d=d)))
+        for g in gs for d in ds for part in partitions
+    ]
+    return {"schema": SCHEMA_VERSION, "input": spec.echo, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +580,7 @@ def _load_document(args) -> dict:
     if text:
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             raise InputError("$", f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise InputError("$", "input document must be a JSON object")
@@ -665,10 +599,10 @@ def _load_document(args) -> dict:
     if args.n is not None:
         doc["n"] = args.n
     if args.ttilde is not None:
-        t = dict(doc.get("t") or {})
-        t["mode"] = "ttilde-value"
-        t["value"] = args.ttilde
-        doc["t"] = t
+        t = doc.get("t") or {}
+        if not isinstance(t, dict):
+            raise InputError("t", "expected an object")
+        doc["t"] = {**t, "mode": "ttilde-value", "value": args.ttilde}
     if args.format is not None:
         doc["format"] = args.format
     return doc
@@ -678,13 +612,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_argparser().parse_args(argv)
     started = time.perf_counter()
     try:
-        doc = _load_document(args)
-        spec = parse_jobspec(doc)
-    except InputError as exc:
-        print(f"input error {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
+        spec = parse_jobspec(_load_document(args))
         result = run_job(spec)
     except InputError as exc:
         print(f"input error {exc}", file=sys.stderr)

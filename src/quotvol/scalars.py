@@ -133,10 +133,6 @@ class TPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c) -> TPoly:
-        return cls((_as_fraction(c),))
-
-    @classmethod
     def variable(cls) -> TPoly:
         return cls((Fraction(0), Fraction(1)))
 
@@ -239,25 +235,33 @@ class TPoly:
             return hash(self.coefficient(0))
         return hash(self.coeffs)
 
-    def _plain(self, var: str = "t") -> str:
+    def format_terms(self, coeff, power, joiner: str) -> str:
+        """The nonzero terms from the top degree down, with signs between them.
+
+        ``coeff(|c|)`` prints a coefficient magnitude and ``power(k)`` the
+        k-th power of the variable (k >= 1); ``joiner`` goes between the two,
+        and a coefficient of magnitude 1 is left out.
+        """
         if not self.coeffs:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
+            c = self.coeffs[k]
             if c == 0:
                 continue
             mag = abs(c)
             if k == 0:
-                body = str(mag)
+                body = coeff(mag)
             else:
-                tpow = var if k == 1 else f"{var}^{k}"
-                body = tpow if mag == 1 else f"{mag}*{tpow}"
+                body = power(k) if mag == 1 else coeff(mag) + joiner + power(k)
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if c > 0 else "-" + body)
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
+
+    def _plain(self, var: str = "t") -> str:
+        return self.format_terms(str, lambda k: var if k == 1 else f"{var}^{k}", "*")
 
     def __repr__(self) -> str:
         return f"TPoly('{self._plain()}')"

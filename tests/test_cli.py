@@ -13,6 +13,11 @@ import pytest
 ACYCLIC = {"command": "acyclic-volume", "n_dim": 1, "q": 1, "deg_E": "-1/1",
            "pairings": ["0/1", "-1/1"], "h": [[0, 1], [-1, 0]],
            "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}
+# the same form given twice, and one index set given twice in a form
+TWO_KAPPA_FORMS = [*ACYCLIC["kappa"],
+                   {"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "5/1"}]}]
+REPEATED_INDICES = [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"},
+                                               {"indices": [1, 2], "coeff": "5/1"}]}]
 
 
 def run_cli(args, stdin_text=""):
@@ -264,6 +269,8 @@ def test_negative_sweep_genus_is_an_input_error():
         ({**ACYCLIC, "kappa": [{"i": 2, "s": 0, "terms": []}]}, "kappa[0]"),
         ({**ACYCLIC, "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1], "coeff": 1}]}]},
          "kappa[0].terms[0].indices"),
+        ({**ACYCLIC, "kappa": TWO_KAPPA_FORMS}, "kappa[1]"),
+        ({**ACYCLIC, "kappa": REPEATED_INDICES}, "kappa[0].terms[1].indices"),
     ],
 )
 def test_domain_bounds_name_the_field(doc, field_name):
@@ -295,7 +302,8 @@ def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):
 
 
 @pytest.mark.parametrize("change", [{"q": 1, "h": [[0]]}, {"pairings": ["1/2", "0/1"]},
-                                    {"kappa": []}])
+                                    {"kappa": []}, {"kappa": TWO_KAPPA_FORMS},
+                                    {"kappa": REPEATED_INDICES}])
 def test_bad_acyclic_input_exits_2(change):
     proc = run_cli(["acyclic-volume"], json.dumps({**ACYCLIC, **change}))
     assert proc.returncode == 2, proc.stderr
