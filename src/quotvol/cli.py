@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Sequence
 
 from .abelian import (
     AcyclicData,
@@ -37,7 +37,7 @@ from .localization import (
 )
 from .scalars import Record, TPoly
 
-__all__ = ["JobSpec", "InputError", "parse_jobspec", "run_job", "sweep", "main"]
+__all__ = ["JobSpec", "InputError", "parse_jobspec", "run_job", "main"]
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -58,9 +58,13 @@ COMMANDS = tuple(_REQUIRED)
 
 TTILDE_CHAR = "\U0001d531"  # fraktur t, used only in plain rendering
 
-# Smallest valid genus, rank, colength, base dimension and lattice half-rank;
-# anything below is an input error.
-_MINIMUM = {"g": 0, "r": 1, "d": 0, "n_dim": 1, "q": 0}
+# Integer fields: (name, smallest valid value or None, whether the field is a
+# list checked entry by entry).  Anything below the minimum is an input error.
+_INTEGERS = (
+    ("g", 0, False), ("r", 1, False), ("d", 0, False), ("n", None, False),
+    ("n_dim", 1, False), ("q", 0, False),
+    ("l", None, True), ("g_values", 0, True), ("d_values", 0, True),
+)
 
 
 class InputError(Exception):
@@ -137,86 +141,44 @@ def render_latex(p: TPoly) -> str:
 # job specification
 
 class JobSpec(Record):
-    """A parsed job.  Unlike the other records it is mutable (and so not
-    hashable): ``parse_jobspec`` fills it in field by field."""
+    """A parsed job: the library problem it runs on and how to report it.
 
-    __slots__ = (
-        "command", "out_format", "g", "r", "l", "d", "n", "t_mode", "t_value",
-        "vol_X", "pi_probe", "weights", "suite",
-        # acyclic payload
-        "n_dim", "q", "deg_E", "pairings", "h", "kappa",
-        # sweep ranges
-        "g_values", "d_values", "l_partitions",
-        "echo",
-    )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    ``problem`` is a ``CurveQuotProblem`` (abelian-volume), an
+    ``AcyclicData`` (acyclic-volume), a tuple of ``QuotProblem`` rows in
+    (g, d, l-partition) order (sweep) or a ``QuotProblem``.  ``echo`` is the
+    input document, repeated in the result."""
 
-    def __init__(
-        self,
-        command: str,
-        out_format: str = "json",
-        g: int | None = None,
-        r: int | None = None,
-        l: tuple[int, ...] | None = None,
-        d: int | None = None,
-        n: int | None = None,
-        t_mode: str = "ttilde-symbolic",
-        t_value: Fraction | None = None,
-        vol_X: Fraction | None = None,
-        pi_probe: Fraction | None = None,
-        weights: tuple[WeightVector, ...] | None = None,
-        suite: str | None = None,
-        n_dim: int | None = None,
-        q: int | None = None,
-        deg_E: Fraction | None = None,
-        pairings: tuple[Fraction, ...] | None = None,
-        h: tuple[tuple[Fraction, ...], ...] | None = None,
-        kappa: dict[tuple[int, int], AltForm] | None = None,
-        g_values: tuple[int, ...] | None = None,
-        d_values: tuple[int, ...] | None = None,
-        l_partitions: tuple[tuple[int, ...], ...] | None = None,
-        echo: dict | None = None,
-    ):
-        super().__init__(
-            command, out_format, g, r, l, d, n, t_mode, t_value, vol_X, pi_probe,
-            weights, suite, n_dim, q, deg_E, pairings, h, kappa,
-            g_values, d_values, l_partitions, {} if echo is None else echo,
-        )
+    __slots__ = ("command", "out_format", "problem", "weights", "n", "t_mode", "t_value",
+                 "vol_X", "pi_probe", "echo")
 
 
-def _parse_t_section(doc: dict, spec: JobSpec):
+def _parse_t_section(doc: dict) -> tuple:
+    """``(t_mode, t_value, vol_X, pi_probe)`` from the ``t`` object."""
     t = doc.get("t")
     if t is None:
-        return
+        return "ttilde-symbolic", None, None, None
     if not isinstance(t, dict):
         raise InputError("t", "expected an object")
     mode = t.get("mode", "ttilde-symbolic")
     if mode not in ("ttilde-symbolic", "ttilde-value", "physical-t"):
         raise InputError("t.mode", f"unknown mode {mode!r}")
-    spec.t_mode = mode
-    if "value" in t:
-        spec.t_value = parse_fraction(t["value"], "t.value")
-    if "vol_X" in t:
-        spec.vol_X = parse_fraction(t["vol_X"], "t.vol_X")
-    if "pi_probe" in t:
-        spec.pi_probe = parse_fraction(t["pi_probe"], "t.pi_probe")
-        if spec.pi_probe == 0:
-            raise InputError("t.pi_probe", "pi probe must be nonzero")
-    if mode == "ttilde-value" and spec.t_value is None:
-        raise InputError("t.value", "required for mode 'ttilde-value'")
-    if mode == "physical-t":
-        if spec.t_value is None:
-            raise InputError("t.value", "required for mode 'physical-t'")
-        if spec.vol_X is None:
-            raise InputError("t.vol_X", "required for mode 'physical-t'")
+    value, vol_X, pi_probe = (
+        parse_fraction(t[key], f"t.{key}") if key in t else None
+        for key in ("value", "vol_X", "pi_probe")
+    )
+    if pi_probe == 0:
+        raise InputError("t.pi_probe", "pi probe must be nonzero")
+    if mode != "ttilde-symbolic" and value is None:
+        raise InputError("t.value", f"required for mode {mode!r}")
+    if mode == "physical-t" and vol_X is None:
+        raise InputError("t.vol_X", "required for mode 'physical-t'")
+    return mode, value, vol_X, pi_probe
 
 
-def _parse_weights(doc: dict, spec: JobSpec):
+def _parse_weights(doc: dict, command: str, r: int | None) -> tuple[WeightVector, ...] | None:
     ws = doc.get("weights")
     if ws is None:
-        return
+        return None
     if not isinstance(ws, list) or not all(isinstance(v, list) for v in ws):
         raise InputError("weights", "expected a list of weight vectors")
     parsed = []
@@ -226,15 +188,37 @@ def _parse_weights(doc: dict, spec: JobSpec):
             parsed.append(WeightVector(entries))
         except ValueError as exc:
             raise InputError(f"weights[{vi}]", str(exc)) from None
-    spec.weights = tuple(parsed)
-    if spec.command == "quot-volume" and len(parsed) != 1:
+    if command == "quot-volume" and len(parsed) != 1:
         raise InputError("weights", "quot-volume takes a single weight vector")
-    if spec.command == "verify" and len(parsed) == 1:
+    if command == "verify" and len(parsed) == 1:
         raise InputError("weights", "verify needs at least two weight vectors")
-    if spec.command in ("quot-volume", "verify"):
+    if command in ("quot-volume", "verify"):
         for vi, w in enumerate(parsed):
-            if len(w.w) != spec.r:
-                raise InputError(f"weights[{vi}]", f"expected {spec.r} weights")
+            if len(w.w) != r:
+                raise InputError(f"weights[{vi}]", f"expected {r} weights")
+    return tuple(parsed)
+
+
+def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
+    """Three deterministic candidates: 1..r, the first r primes, and a seeded
+    pseudo-random distinct rational vector."""
+    primes = []
+    k = 2
+    while len(primes) < r:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    rng = random.Random(20201)
+    rand: list[Fraction] = []
+    while len(rand) < r:
+        cand = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+        if cand not in rand:
+            rand.append(cand)
+    return (
+        default_weights(r),
+        WeightVector(tuple(Fraction(p) for p in primes)),
+        WeightVector(tuple(rand)),
+    )
 
 
 def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
@@ -277,38 +261,39 @@ def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
     return out
 
 
-def _parse_acyclic(doc: dict, spec: JobSpec):
-    spec.deg_E = parse_fraction(doc["deg_E"], "deg_E")
+def _parse_acyclic(doc: dict, n_dim: int, q: int) -> AcyclicData:
+    deg_E = parse_fraction(doc["deg_E"], "deg_E")
     pairings = doc.get("pairings")
     if not isinstance(pairings, list):
         raise InputError("pairings", "expected a list of rationals (s = 0..n_dim)")
-    spec.pairings = tuple(parse_fraction(x, f"pairings[{i}]") for i, x in enumerate(pairings))
-    if len(spec.pairings) != spec.n_dim + 1:
-        raise InputError("pairings", f"expected {spec.n_dim + 1} entries (s = 0..n_dim)")
-    rank = sum(Fraction((-1) ** s, math.factorial(s)) * p for s, p in enumerate(spec.pairings))
+    pairings = tuple(parse_fraction(x, f"pairings[{i}]") for i, x in enumerate(pairings))
+    if len(pairings) != n_dim + 1:
+        raise InputError("pairings", f"expected {n_dim + 1} entries (s = 0..n_dim)")
+    rank = sum(Fraction((-1) ** s, math.factorial(s)) * p for s, p in enumerate(pairings))
     if rank.denominator != 1 or rank < 1:
         raise InputError("pairings", f"rank sum (-1)^s P_s/s! must be a positive integer, got {rank}")
     h = doc.get("h")
-    size = 2 * spec.q
+    size = 2 * q
     if not isinstance(h, list) or not all(isinstance(row, list) for row in h) or len(h) != size:
         raise InputError("h", f"expected a {size} x {size} matrix (2q x 2q)")
     for i, row in enumerate(h):
         if len(row) != size:
             raise InputError(f"h[{i}]", f"expected {size} entries, got {len(row)}")
-    spec.h = tuple(
+    h = tuple(
         tuple(parse_fraction(x, f"h[{i}][{j}]") for j, x in enumerate(row))
         for i, row in enumerate(h)
     )
     for i in range(size):
         for j in range(i, size):
-            if spec.h[i][j] != -spec.h[j][i]:
+            if h[i][j] != -h[j][i]:
                 raise InputError(f"h[{i}][{j}]", f"h must be antisymmetric, but h[{j}][{i}] = "
-                                 f"{format_fraction(spec.h[j][i])}")
-    spec.kappa = _parse_kappa(doc.get("kappa", []), spec.q, spec.n_dim)
+                                 f"{format_fraction(h[j][i])}")
+    kappa = _parse_kappa(doc.get("kappa", []), q, n_dim)
+    return AcyclicData(n=n_dim, q=q, deg_E=deg_E, pairings=pairings, h=h, kappa_forms=kappa)
 
 
 def parse_jobspec(doc: dict) -> JobSpec:
-    """Validate a job document and normalize it into a JobSpec.
+    """Validate a job document and build the library problem it runs on.
 
     Every input check runs here, so ``run_job`` only computes."""
     if not isinstance(doc, dict):
@@ -327,45 +312,45 @@ def parse_jobspec(doc: dict) -> JobSpec:
                 raise InputError(need, f"required for {command}")
         elif all(doc.get(name) is None for name in need):
             raise InputError(need[0], f"{command} needs {' or '.join(need)}")
-    spec = JobSpec(command=command, out_format=out_format, echo=doc)
-
-    for name in ("g", "r", "d", "n", "n_dim", "q"):
+    ints = {}
+    for name, minimum, listed in _INTEGERS:
         if doc.get(name) is not None:
-            setattr(spec, name, _require_int(doc[name], name, _MINIMUM.get(name)))
-    if doc.get("l") is not None:
-        spec.l = _require_int_list(doc["l"], "l")
-    _parse_t_section(doc, spec)
-    _parse_weights(doc, spec)
-
+            ints[name] = (_require_int_list if listed else _require_int)(doc[name], name, minimum)
+    g, r, l, d = (ints.get(name) for name in ("g", "r", "l", "d"))
+    t_section = _parse_t_section(doc)
+    weights = _parse_weights(doc, command, r)
     if command == "verify":
-        spec.suite = doc.get("suite", "weight-independence")
-        if spec.suite != "weight-independence":
-            raise InputError("suite", f"unknown suite {spec.suite!r}")
+        if doc.get("suite", "weight-independence") != "weight-independence":
+            raise InputError("suite", f"unknown suite {doc['suite']!r}")
+        weights = weights or _default_verify_weights(r)
 
     if command == "acyclic-volume":
-        _parse_acyclic(doc, spec)
-    elif command == "sweep":
-        if doc.get("g_values") is not None:
-            spec.g_values = _require_int_list(doc["g_values"], "g_values", _MINIMUM["g"])
-        if doc.get("d_values") is not None:
-            spec.d_values = _require_int_list(doc["d_values"], "d_values", _MINIMUM["d"])
-        if doc.get("l_partitions") is not None:
-            lp = doc["l_partitions"]
-            if not isinstance(lp, list):
+        problem = _parse_acyclic(doc, ints["n_dim"], ints["q"])
+    elif command == "abelian-volume":
+        # a degree list has one entry per summand: one on a curve, else r
+        if len(l) != 1:
+            raise InputError("l", "abelian-volume takes a single degree [deg_E0]")
+        problem = CurveQuotProblem(g=g, deg_E=l[0] - d, d=d)
+    else:
+        partitions = doc.get("l_partitions") if command == "sweep" else None
+        if partitions is not None:
+            if not isinstance(partitions, list):
                 raise InputError("l_partitions", "expected a list of integer lists")
-            spec.l_partitions = tuple(
-                _require_int_list(part, f"l_partitions[{i}]") for i, part in enumerate(lp)
+            partitions = tuple(_require_int_list(part, f"l_partitions[{i}]")
+                               for i, part in enumerate(partitions))
+        parts = enumerate(partitions or ())
+        for name, part in (("l", l), *((f"l_partitions[{i}]", p) for i, p in parts)):
+            if part is not None and len(part) != r:
+                raise InputError(name, f"expected {r} entries, got {len(part)}")
+        if command == "sweep":
+            problem = tuple(
+                QuotProblem(g=gi, r=r, l=part, d=di)
+                for gi in ints.get("g_values", (g,)) for di in ints.get("d_values", (d,))
+                for part in (partitions if partitions is not None else (l,))
             )
-
-    # a degree list has one entry per summand: one on a curve, else r
-    if command == "abelian-volume" and len(spec.l) != 1:
-        raise InputError("l", "abelian-volume takes a single degree [deg_E0]")
-    if "r" in _REQUIRED[command]:
-        parts = enumerate(spec.l_partitions or ())
-        for name, part in (("l", spec.l), *((f"l_partitions[{i}]", p) for i, p in parts)):
-            if part is not None and len(part) != spec.r:
-                raise InputError(name, f"expected {spec.r} entries, got {len(part)}")
-    return spec
+        else:
+            problem = QuotProblem(g=g, r=r, l=l, d=d)
+    return JobSpec(command, out_format, problem, weights, ints.get("n"), *t_section, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +393,6 @@ def _t_report(spec: JobSpec, volume: TPoly, dim: int, base_dim: int = 1) -> dict
 # ---------------------------------------------------------------------------
 # command handlers
 
-def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
-    """Three deterministic candidates: 1..r, the first r primes, and a seeded
-    pseudo-random distinct rational vector."""
-    primes = []
-    k = 2
-    while len(primes) < r:
-        if all(k % p for p in primes):
-            primes.append(k)
-        k += 1
-    rng = random.Random(20201)
-    rand: list[Fraction] = []
-    while len(rand) < r:
-        cand = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-        if cand not in rand:
-            rand.append(cand)
-    return (
-        default_weights(r),
-        WeightVector(tuple(Fraction(p) for p in primes)),
-        WeightVector(tuple(rand)),
-    )
-
-
 def _emit_volume(out: dict, spec: JobSpec, volume: TPoly, **extra) -> dict:
     """Add ``volume``, then each ``extra`` field that is not None, then
     ``latex`` when asked for; this fixes the key order of stdout."""
@@ -440,49 +403,38 @@ def _emit_volume(out: dict, spec: JobSpec, volume: TPoly, **extra) -> dict:
     return out
 
 
-def _quot_problem(spec: JobSpec) -> QuotProblem:
-    return QuotProblem(g=spec.g, r=spec.r, l=spec.l, d=spec.d)
-
-
 def run_job(spec: JobSpec) -> dict:
     """Execute one job that ``parse_jobspec`` accepted; return the result document."""
-    if spec.command == "sweep":
-        return sweep(spec)
+    problem = spec.problem
     result = {"schema": SCHEMA_VERSION, "input": spec.echo}
-    if spec.command == "abelian-volume":
-        problem = CurveQuotProblem(g=spec.g, deg_E=spec.l[0] - spec.d, d=spec.d)
+    if spec.command == "sweep":
+        result["rows"] = [
+            _emit_volume({"g": p.g, "r": p.r, "d": p.d, "l": list(p.l)}, spec, quot_volume(p))
+            for p in problem
+        ]
+    elif spec.command == "abelian-volume":
         volume = symmetric_power_volume(problem)
-        _emit_volume(result, spec, volume, t=_t_report(spec, volume, spec.d))
-        result["unnormalized"] = {"expression": f"(4*pi^2)^{spec.d} * volume"}
+        _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.d))
+        result["unnormalized"] = {"expression": f"(4*pi^2)^{problem.d} * volume"}
         if spec.pi_probe is not None:
             result["unnormalized"]["factor_at_pi_probe"] = format_fraction(
-                (4 * spec.pi_probe ** 2) ** spec.d
+                (4 * spec.pi_probe ** 2) ** problem.d
             )
     elif spec.command == "acyclic-volume":
-        data = AcyclicData(
-            n=spec.n_dim,
-            q=spec.q,
-            deg_E=spec.deg_E,
-            pairings=spec.pairings,
-            h=spec.h,
-            kappa_forms=spec.kappa or {},
-        )
-        volume = acyclic_volume(data)
-        _emit_volume(result, spec, volume, t=_t_report(spec, volume, data.dimension, data.n))
+        volume = acyclic_volume(problem)
+        _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.dimension, problem.n))
     elif spec.command == "quot-volume":
-        volume = quot_volume(_quot_problem(spec), spec.weights[0] if spec.weights else None)
-        _emit_volume(result, spec, volume, t=_t_report(spec, volume, spec.r * spec.d))
+        volume = quot_volume(problem, spec.weights[0] if spec.weights else None)
+        _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.r * problem.d))
     elif spec.command == "grothendieck-degree":
-        problem = _quot_problem(spec)
         volume = quot_volume(problem)
         _emit_volume(result, spec, volume, degree=grothendieck_degree(problem, spec.n, volume))
     else:  # verify
-        candidates = spec.weights or _default_verify_weights(spec.r)
-        report = verify_weight_independence(_quot_problem(spec), candidates)
+        report = verify_weight_independence(problem, spec.weights)
         result["verify"] = {
             "suite": "weight-independence",
             "pass": report.passed,
-            "candidates": len(candidates),
+            "candidates": len(spec.weights),
             "volumes": [
                 {
                     "weights": [format_fraction(x) for x in w.w],
@@ -492,19 +444,6 @@ def run_job(spec: JobSpec) -> dict:
             ],
         }
     return result
-
-
-def sweep(spec: JobSpec) -> dict:
-    """One volume row per (g, d, l-partition), in deterministic range order."""
-    gs = spec.g_values if spec.g_values is not None else (spec.g,)
-    ds = spec.d_values if spec.d_values is not None else (spec.d,)
-    partitions = spec.l_partitions if spec.l_partitions is not None else (spec.l,)
-    rows = [
-        _emit_volume({"g": g, "r": spec.r, "d": d, "l": list(part)}, spec,
-                     quot_volume(QuotProblem(g=g, r=spec.r, l=part, d=d)))
-        for g in gs for d in ds for part in partitions
-    ]
-    return {"schema": SCHEMA_VERSION, "input": spec.echo, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -585,26 +524,22 @@ def _load_document(args) -> dict:
         if not isinstance(doc, dict):
             raise InputError("$", "input document must be a JSON object")
     doc["command"] = args.command
-    if args.g is not None:
-        doc["g"] = args.g
-    if args.r is not None:
-        doc["r"] = args.r
-    if args.l is not None:
-        try:
-            doc["l"] = [int(x) for x in args.l.split(",")]
-        except ValueError:
-            raise InputError("l", f"bad degree list {args.l!r}") from None
-    if args.d is not None:
-        doc["d"] = args.d
-    if args.n is not None:
-        doc["n"] = args.n
-    if args.ttilde is not None:
-        t = doc.get("t") or {}
-        if not isinstance(t, dict):
-            raise InputError("t", "expected an object")
-        doc["t"] = {**t, "mode": "ttilde-value", "value": args.ttilde}
-    if args.format is not None:
-        doc["format"] = args.format
+    # flag order fixes the key order of a new field in the echoed input
+    for name in ("g", "r", "l", "d", "n", "ttilde", "format"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name == "l":
+            try:
+                value = [int(x) for x in value.split(",")]
+            except ValueError:
+                raise InputError("l", f"bad degree list {value!r}") from None
+        elif name == "ttilde":
+            t = doc.get("t") or {}
+            if not isinstance(t, dict):
+                raise InputError("t", "expected an object")
+            name, value = "t", {**t, "mode": "ttilde-value", "value": value}
+        doc[name] = value
     return doc
 
 

@@ -3,7 +3,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from quotvol.abelian import AcyclicData, CurveQuotProblem
 from quotvol.cli import parse_fraction, parse_jobspec, render_latex, render_plain, run_job
+from quotvol.exterior import AltForm
+from quotvol.localization import QuotProblem
 from quotvol.scalars import TPoly
 
 import pytest
@@ -217,6 +220,32 @@ def test_parse_fraction_and_jobspec_errors():
                        "weights": "nope"})
     with pytest.raises(InputError, match="1/0"):
         parse_fraction("1/0", "x")
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ({"command": "abelian-volume", "g": 1, "l": [3], "d": 2}, CurveQuotProblem(1, 1, 2)),
+    ({"command": "quot-volume", "g": 2, "r": 2, "l": [1, 0], "d": 3},
+     QuotProblem(2, 2, (1, 0), 3)),
+    ({"command": "grothendieck-degree", "g": 0, "r": 1, "l": [0], "d": 1, "n": 2},
+     QuotProblem(0, 1, (0,), 1)),
+    ({**ACYCLIC, "pairings": [0, -1]},
+     AcyclicData(1, 1, -1, (0, -1), ((0, 1), (-1, 0)), {(1, 0): AltForm(1, {(1, 2): 1})})),
+    # sweep rows run over g, then d, then the l-partition; a range beats a value
+    ({"command": "sweep", "r": 2, "g": 5, "g_values": [0, 1], "d_values": [1, 2],
+      "l_partitions": [[1, 0], [0, 1]]},
+     tuple(QuotProblem(g, 2, l, d) for g in (0, 1) for d in (1, 2) for l in ((1, 0), (0, 1)))),
+    ({"command": "sweep", "r": 1, "g": 0, "l": [0], "d_values": []}, ()),
+])
+def test_parse_jobspec_builds_the_library_problem(doc, problem):
+    spec = parse_jobspec(doc)
+    assert spec.problem == problem
+    assert spec.echo is doc
+
+
+def test_verify_without_weights_gets_three_default_candidates():
+    spec = parse_jobspec({"command": "verify", "g": 0, "r": 3, "l": [0, 0, 0], "d": 1})
+    assert [len(w.w) for w in spec.weights] == [3, 3, 3]
+    assert len(set(spec.weights)) == 3
 
 
 def test_run_job_directly():

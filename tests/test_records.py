@@ -170,26 +170,29 @@ def test_constructor_errors(build, message):
         build()
 
 
-def test_jobspec_is_a_mutable_record():
-    a = JobSpec("quot-volume")
-    b = JobSpec(command="quot-volume", out_format="json", t_mode="ttilde-symbolic")
-    assert a == b
-    assert a.g is None and a.weights is None and a.kappa is None
-    assert a.echo == {} and a.echo is not b.echo
-    assert repr(JobSpec("quot-volume", g=2, l=(0, 1))) == (
-        "JobSpec(command='quot-volume', out_format='json', g=2, r=None, l=(0, 1), d=None, "
-        "n=None, t_mode='ttilde-symbolic', t_value=None, vol_X=None, pi_probe=None, "
-        "weights=None, suite=None, n_dim=None, q=None, deg_E=None, pairings=None, h=None, "
-        "kappa=None, g_values=None, d_values=None, l_partitions=None, echo={})"
+def test_jobspec_is_a_frozen_record():
+    def spec(problem):
+        return JobSpec("quot-volume", "json", problem, None, None, "ttilde-symbolic",
+                       None, None, None, {"command": "quot-volume"})
+
+    a, b = spec(QuotProblem(2, 2, (0, 1), 1)), spec(QuotProblem(2, 2, [0, 1], 1))
+    assert len(JobSpec.__slots__) == 10
+    assert a == b and a != spec(QuotProblem(2, 2, (1, 0), 1))
+    assert repr(a) == (
+        "JobSpec(command='quot-volume', out_format='json', "
+        "problem=QuotProblem(g=2, r=2, l=(0, 1), d=1, ttilde=None), weights=None, n=None, "
+        "t_mode='ttilde-symbolic', t_value=None, vol_X=None, pi_probe=None, "
+        "echo={'command': 'quot-volume'})"
     )
-    a.g = 3
-    a.echo["x"] = 1
-    assert a != b and a.g == 3 and b.echo == {}
-    c = JobSpec("sweep", "plain", 1, 2, (0, 0), 1, echo={"command": "sweep"})
-    assert (c.out_format, c.g, c.r, c.l, c.d, c.echo) == ("plain", 1, 2, (0, 0), 1, {"command": "sweep"})
+    with pytest.raises(AttributeError, match="cannot assign"):
+        a.problem = None
+    with pytest.raises(AttributeError, match="cannot delete"):
+        del a.n
     with pytest.raises(TypeError):
-        hash(a)
-    assert pickle.loads(pickle.dumps(c)) == c
+        hash(a)  # the echoed input is a dict
+    with pytest.raises(ValueError):  # every field is given
+        JobSpec("quot-volume", "json")
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
