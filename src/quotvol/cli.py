@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -491,6 +492,10 @@ def _build_argparser() -> argparse.ArgumentParser:
         prog="quotvol",
         description="Exact Quot-space volumes and Grothendieck degrees.",
     )
+    # argparse reads only plain negative numbers as values; read every token
+    # that starts with '-' and a digit as one, so `--ttilde -1/2` and
+    # `--l -1,1` work.  No option name starts that way.
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--file", help="read the JSON job document from this path")
     parser.add_argument("--g", type=int)

@@ -98,6 +98,16 @@ def test_ttilde_value_flag():
     assert out["t"]["value"] == "7/2"  # (3/2) + 2
 
 
+def test_negative_flag_values_as_their_own_argument():
+    base = ["quot-volume", "--g", "2", "--r", "2", "--d", "1"]
+    apart = run_cli([*base, "--l", "-1,3", "--ttilde", "-3/2"])
+    joined = run_cli([*base, "--l=-1,3", "--ttilde=-3/2"])
+    assert apart.returncode == joined.returncode == 0, apart.stderr
+    assert apart.stdout == joined.stdout
+    assert json.loads(apart.stdout)["t"]["value"] == "1/2"  # (-3/2) + 2
+    assert run_cli([*base, "--l", "0,0", "--ttilde", "--format"]).returncode == 2
+
+
 def test_acyclic_volume_json():
     proc = run_cli(["acyclic-volume"], json.dumps({"schema": 1, **ACYCLIC}))
     assert proc.returncode == 0
