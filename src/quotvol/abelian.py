@@ -30,7 +30,7 @@ from .exterior import (
     theta_form,
     top_pairing,
 )
-from .scalars import Record, TPoly
+from .scalars import Record, TPoly, falling_factorial
 
 __all__ = [
     "CurveQuotProblem",
@@ -69,9 +69,7 @@ def poincare_number(g: int, a: int, b: int) -> Fraction:
     ``X^(a+b)``: ``g!/(g-b)!`` for ``b <= g`` and zero above the genus."""
     if g < 0 or a < 0 or b < 0:
         raise ValueError("arguments must be non-negative")
-    if b > g:
-        return Fraction(0)
-    return Fraction(math.factorial(g), math.factorial(g - b))
+    return falling_factorial(g, b)
 
 
 def symmetric_power_volume(p: CurveQuotProblem) -> TPoly:

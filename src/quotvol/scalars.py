@@ -48,10 +48,7 @@ def falling_factorial(g: int, k: int) -> Fraction:
     """g(g-1)...(g-k+1); 1 for k = 0 (empty product), 0 for k > g >= 0."""
     if g < 0 or k < 0:
         raise ValueError("falling_factorial requires non-negative arguments")
-    out = 1
-    for i in range(k):
-        out *= g - i
-    return Fraction(out)
+    return Fraction(math.perm(g, k))
 
 
 def general_binomial(e: int, k: int) -> Fraction:
