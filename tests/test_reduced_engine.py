@@ -111,3 +111,26 @@ LADDER_PINS = {
 @pytest.mark.parametrize("d", sorted(LADDER_PINS))
 def test_ladder_volumes_are_pinned(d):
     assert quot_volume(QuotProblem(g=2, r=2, l=(0, 1), d=d)) == LADDER_PINS[d]
+
+
+@st.composite
+def redistributed_degrees(draw):
+    """(g, d, l) with r <= 4, small r*d and |l| in {-2, 0, 3}, spread at random."""
+    r = draw(st.integers(2, 4))
+    g = draw(st.integers(0, 2))
+    d = draw(st.integers(0, {2: 4, 3: 3, 4: 2}[r]))
+    total = draw(st.sampled_from((-2, 0, 3)))
+    head = draw(st.lists(st.integers(-4, 4), min_size=r - 1, max_size=r - 1))
+    return g, d, (*head, total - sum(head))
+
+
+@PROPERTY
+@given(redistributed_degrees())
+def test_volume_depends_on_l_only_through_its_total(case):
+    """The volume is unchanged when l is redistributed with |l| fixed (the
+    universality in |l| of the roadmap).  This tests the identity on small
+    cases; it does not prove it."""
+    g, d, l = case
+    r = len(l)
+    gathered = (sum(l),) + (0,) * (r - 1)
+    assert quot_volume(QuotProblem(g, r, l, d)) == quot_volume(QuotProblem(g, r, gathered, d))
