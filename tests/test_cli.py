@@ -252,12 +252,6 @@ def test_parse_jobspec_builds_the_library_problem(doc, problem):
     assert spec.echo is doc
 
 
-def test_verify_without_weights_gets_three_default_candidates():
-    spec = parse_jobspec({"command": "verify", "g": 0, "r": 3, "l": [0, 0, 0], "d": 1})
-    assert [len(w.w) for w in spec.weights] == [3, 3, 3]
-    assert len(set(spec.weights)) == 3
-
-
 def test_run_job_directly():
     spec = parse_jobspec({"command": "quot-volume", "g": 2, "r": 2, "l": [1, 1], "d": 1})
     result = run_job(spec)
