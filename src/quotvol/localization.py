@@ -22,8 +22,10 @@ composition contributes the ``prod_i t_i^(d_i)`` coefficient of
 
 where ``A = sum_i s_i t_i - sum_i s_i w_i`` and
 ``c_i = sum_{j != i} 1/(w_j - w_i + t_i)``.  Everything but ``A`` is free of
-``ttilde``, so it is built once per composition as a truncated series with
-rational coefficients, grouped by ``K = |k|``; only the contraction with the
+``ttilde``, so it is built once per composition as one truncated series with
+rational coefficients in ``(t_1, ..., t_r, z)``: by the binomial theorem
+``sum_k C(g, k) (t_i z)^k (1 + t_i c_i)^(g-k) = (1 + t_i (c_i + z))^g``, so
+the exponent of ``z`` records ``K = |k|``.  Only the contraction with the
 multinomial expansion of ``A^(N-K)`` carries ``TPoly`` coefficients, and it
 produces the one coefficient needed and nothing else.
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .scalars import (
     Record,
@@ -297,8 +299,19 @@ def _reduced_composition(p: QuotProblem, c: Composition, w: WeightVector) -> tup
     n = r * p.d
     degree = n
 
-    # Per summand i: the t_i-only factors, one list per k_i = 0..min(d_i, g).
-    factors = []
+    # One series in (t_1, ..., t_r, z), where z counts K = |k|: first the
+    # cross factors, while the series is still free of z and so smaller, then
+    # per summand i the t_i-only factors.  By the binomial theorem the sum
+    # over k_i is own_i (1 + t_i (c_i + z))^g, whose z^k part
+    # C(g, k) t_i^k own_i (1 + t_i c_i)^(g-k) comes off the ladder
+    # own_i (1 + t_i c_i)^m, m = 0..g.
+    bounds = caps + (n,)
+    series: dict[tuple[int, ...], Fraction] = {(0,) * (r + 1): Fraction(1)}
+    for i in range(r):
+        for j in range(i + 1, r):
+            degree -= 2 * gbar
+            factor = _cross_factor(w.w[j] - w.w[i], -2 * gbar, i, j, bounds)
+            series = _series_mul(series, factor, bounds)
     for i in range(r):
         cap = caps[i]
         own = [Fraction(1)] + [Fraction(0)] * cap
@@ -312,35 +325,20 @@ def _reduced_composition(p: QuotProblem, c: Composition, w: WeightVector) -> tup
             own = _poly_mul(own, _linear_power(wji, e, cap), cap)
             c_i = [x + y for x, y in zip(c_i, _linear_power(wji, -1, cap))]
         one_plus = [Fraction(1)] + c_i[:cap]  # 1 + t_i c_i
-        by_k = []
+        ladder = [own]
+        for _ in range(g):
+            ladder.append(_poly_mul(ladder[-1], one_plus, cap))
+        factor = {}
         for k in range(min(cap, g) + 1):
-            f = [Fraction(0)] * k + [Fraction(math.comb(g, k))] + [Fraction(0)] * (cap - k)
-            for _ in range(g - k):
-                f = _poly_mul(f, one_plus, cap)
-            by_k.append(_poly_mul(f, own, cap))
-        factors.append(by_k)
+            for a, x in enumerate(ladder[g - k][: cap + 1 - k]):
+                if x:
+                    key = [0] * (r + 1)
+                    key[i], key[r] = a + k, k
+                    factor[tuple(key)] = x * math.comb(g, k)
+        series = _series_mul(series, factor, bounds)
 
-    # Their product over i, grouped by K = |k|.
-    graded: dict[int, dict[tuple[int, ...], Fraction]] = {0: {(): Fraction(1)}}
-    for by_k in factors:
-        nxt: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for big_k, series in graded.items():
-            for k, f in enumerate(by_k):
-                target = nxt.setdefault(big_k + k, {})
-                for key, val in series.items():
-                    for a, x in enumerate(f):
-                        if x:
-                            target[key + (a,)] = target.get(key + (a,), 0) + val * x
-        graded = nxt
-
-    cross: dict[tuple[int, ...], Fraction] = {(0,) * r: Fraction(1)}
-    for i in range(r):
-        for j in range(i + 1, r):
-            degree -= 2 * gbar
-            cross = _series_mul(cross, _cross_factor(w.w[j] - w.w[i], -2 * gbar, i, j, caps), caps)
-
-    # [prod t^d] of G_K A^(N-K), G_K = cross * graded[K], A = sum_i s_i t_i - S:
-    # the multinomial term of t^beta is (N-K)!/(beta! j!) s^beta (-S)^j with
+    # [prod t^d z^K] of the series times A^(N-K), A = sum_i s_i t_i - S: the
+    # multinomial term of t^beta is (N-K)!/(beta! j!) s^beta (-S)^j with
     # j = N-K-|beta|.  Collect the s^beta parts by j, then sum over j by
     # Horner's rule in -S.
     s = stability_weights(p, c)
@@ -353,12 +351,11 @@ def _reduced_composition(p: QuotProblem, c: Composition, w: WeightVector) -> tup
         s_beta = {key + (m,): val * pw for key, val in s_beta.items()
                   for m, pw in enumerate(powers)}
     by_j = [TPoly() for _ in range(n + 1)]
-    for big_k, series in graded.items():
-        for key, val in _series_mul(cross, series, caps).items():
-            beta = tuple(x - y for x, y in zip(caps, key))
-            j = n - big_k - sum(beta)
-            if j >= 0 and val:
-                by_j[j] = by_j[j] + s_beta[beta] * val
+    for key, val in series.items():
+        beta = tuple(x - y for x, y in zip(caps, key))
+        j = n - key[r] - sum(beta)
+        if j >= 0 and val:
+            by_j[j] = by_j[j] + s_beta[beta] * val
     total = TPoly()
     for j in range(n, -1, -1):
         total = total * neg_s_dot_w + by_j[j] * Fraction(math.factorial(n), math.factorial(j))
@@ -386,20 +383,11 @@ class WeightIndependenceReport(Record):
         super().__init__(passed, volumes)
 
 
-def verify_weight_independence(
-    p: QuotProblem,
-    ws: Sequence[WeightVector],
-    volume_fn: Callable[[QuotProblem, WeightVector], TPoly] | None = None,
-) -> WeightIndependenceReport:
-    """Exact-equality check of the volume across several weight vectors.
-
-    ``volume_fn`` exists for fault-injection tests; production callers leave
-    it at the default.
-    """
+def verify_weight_independence(p: QuotProblem, ws: Sequence[WeightVector]) -> WeightIndependenceReport:
+    """Exact-equality check of the volume across several weight vectors."""
     if len(ws) < 2:
         raise ValueError("need at least two weight vectors")
-    fn = volume_fn if volume_fn is not None else quot_volume
-    volumes = tuple((w, fn(p, w)) for w in ws)
+    volumes = tuple((w, quot_volume(p, w)) for w in ws)
     first = volumes[0][1]
     passed = all(v == first for _, v in volumes[1:])
     return WeightIndependenceReport(passed=passed, volumes=volumes)

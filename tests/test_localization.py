@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import quotvol.localization as localization
 from quotvol.abelian import CurveQuotProblem, symmetric_power_volume
 from quotvol.localization import (
     Composition,
@@ -137,13 +138,14 @@ def test_quot_volume_weight_independence():
     assert report.passed
 
 
-def test_weight_independence_detects_injected_fault():
+def test_weight_independence_detects_injected_fault(monkeypatch):
     p = QuotProblem(g=1, r=2, l=(2, 0), d=1)
 
     def tampered(problem, w):
         return quot_volume(problem, w) + TPoly((w.w[0],))
 
-    report = verify_weight_independence(p, [wv(0, 1), wv(1, 3)], volume_fn=tampered)
+    monkeypatch.setattr(localization, "quot_volume", tampered)
+    report = verify_weight_independence(p, [wv(0, 1), wv(1, 3)])
     assert not report.passed
 
 

@@ -98,19 +98,23 @@ def _poly(*coeffs):
     return TPoly(tuple(Fraction(c) for c in coeffs))
 
 
-# Exact volumes of the two largest ladder problems, recorded from the
+# Exact volumes at g = 2, l = (0, ..., r - 1), keyed by (r, d).  The r = 2
+# entries are the two largest ladder problems; all were recorded from the
 # unreduced series engine (which takes seconds on them, so it is not rerun).
 LADDER_PINS = {
-    6: _poly("-31425127/95800320", "1729439/2661120", "-1250159/3628800", "-37/90720",
-             "149/2880", "-11/720", "1/720"),
-    7: _poly("118981949/247665600", "-70362857/77837760", "2179919/4276800", "-10939/226800",
-             "-989/18144", "97/4320", "-1/288", "1/5040"),
+    (2, 6): _poly("-31425127/95800320", "1729439/2661120", "-1250159/3628800", "-37/90720",
+                  "149/2880", "-11/720", "1/720"),
+    (2, 7): _poly("118981949/247665600", "-70362857/77837760", "2179919/4276800",
+                  "-10939/226800", "-989/18144", "97/4320", "-1/288", "1/5040"),
+    (3, 4): _poly("89591/79833600", "911/1425600", "-2701/403200", "1/240", "1/384"),
+    (4, 3): _poly("28513/15966720", "63683/13305600", "37/10080", "1/1296"),
+    (5, 2): _poly("167/30240", "817/181440", "1/1152"),
 }
 
 
-@pytest.mark.parametrize("d", sorted(LADDER_PINS))
-def test_ladder_volumes_are_pinned(d):
-    assert quot_volume(QuotProblem(g=2, r=2, l=(0, 1), d=d)) == LADDER_PINS[d]
+@pytest.mark.parametrize("r, d", sorted(LADDER_PINS))
+def test_ladder_volumes_are_pinned(r, d):
+    assert quot_volume(QuotProblem(g=2, r=r, l=tuple(range(r)), d=d)) == LADDER_PINS[r, d]
 
 
 @st.composite
