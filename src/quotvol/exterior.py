@@ -24,9 +24,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .scalars import _as_fraction
+
 __all__ = [
     "AltForm",
-    "wedge",
     "exp_even",
     "exp_graded",
     "evaluate_top",
@@ -35,14 +36,6 @@ __all__ = [
     "standard_symplectic_matrix",
     "standard_symplectic_form",
 ]
-
-
-def _as_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be exact: {type(value).__name__}")
 
 
 def _mask_parity(key: tuple[int, ...]) -> tuple[int, int]:
@@ -83,7 +76,7 @@ class AltForm:
                     raise ValueError(f"index out of range in {key!r}")
                 if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
                     raise ValueError(f"indices must be strictly increasing: {key!r}")
-                val = _as_coeff(val)
+                val = _as_fraction(val)
                 if val:
                     out[key] = val
         self.terms = out
@@ -112,9 +105,6 @@ class AltForm:
         """The degree-k graded piece."""
         return AltForm(self.q, {key: v for key, v in self.terms.items() if len(key) == k})
 
-    def coefficient(self, indices: Iterable[int]):
-        return self.terms.get(tuple(indices), Fraction(0))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -139,11 +129,6 @@ class AltForm:
         result.terms = {k: -v for k, v in self.terms.items()}
         return result
 
-    def __sub__(self, other):
-        if not isinstance(other, AltForm):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, scalar):
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
@@ -158,6 +143,7 @@ class AltForm:
     __rmul__ = __mul__
 
     def wedge(self, other: AltForm) -> AltForm:
+        """Exterior product with shuffle signs; zero above degree 2q."""
         if not isinstance(other, AltForm):
             raise TypeError("wedge expects an AltForm")
         if self.q != other.q:
@@ -179,14 +165,6 @@ class AltForm:
         result.terms = {_key(m, n): Fraction(c, den) for m, c in acc.items() if c}
         return result
 
-    def wedge_power(self, k: int) -> AltForm:
-        if k < 0:
-            raise ValueError("negative wedge power")
-        result = AltForm.one(self.q)
-        for _ in range(k):
-            result = result.wedge(self)
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltForm):
             return NotImplemented
@@ -197,11 +175,6 @@ class AltForm:
             return f"AltForm(q={self.q}, 0)"
         parts = [f"{key}: {val}" for key, val in sorted(self.terms.items())]
         return f"AltForm(q={self.q}, {{" + ", ".join(parts) + "})"
-
-
-def wedge(a: AltForm, b: AltForm) -> AltForm:
-    """Exterior product with shuffle signs; zero above degree 2q."""
-    return a.wedge(b)
 
 
 def exp_graded(q: int, pieces: Sequence[AltForm], top: int) -> list[AltForm]:

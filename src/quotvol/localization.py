@@ -37,7 +37,8 @@ unless that exponent is 0.
 ``integrand`` and ``evaluate_composition`` keep the unreduced pipeline: a
 series in variable pairs ``(x_i, y_i)`` with Laurent coefficients in ``u``,
 whose exact multi-degree part is read off at ``u^0`` and weighted by falling
-factorials.  They serve as an independent oracle for the reduced engine.
+factorials.  They serve as an independent oracle for the reduced engine and
+are not in ``__all__``.
 
 The result is independent of the (pairwise distinct) torus weights; that
 freedom is kept as an end-to-end consistency check.
@@ -58,7 +59,6 @@ from .scalars import (
     general_binomial,
     series_exp,
     series_pow_int,
-    u_coefficient,
 )
 
 __all__ = [
@@ -69,8 +69,6 @@ __all__ = [
     "compositions",
     "default_weights",
     "stability_weights",
-    "integrand",
-    "evaluate_composition",
     "quot_volume",
     "verify_weight_independence",
 ]
@@ -78,12 +76,11 @@ __all__ = [
 
 class QuotProblem(Record):
     """Full-rank Quot problem: genus ``g``, splitting degrees ``l``, total
-    colength ``d``.  ``ttilde`` optionally records a rational sample point;
-    the volume itself is always returned as a polynomial."""
+    colength ``d``.  The volume is a polynomial in the stability variable."""
 
-    __slots__ = ("g", "r", "l", "d", "ttilde")
+    __slots__ = ("g", "r", "l", "d")
 
-    def __init__(self, g: int, r: int, l: Sequence[int], d: int, ttilde: Fraction | None = None):
+    def __init__(self, g: int, r: int, l: Sequence[int], d: int):
         l = tuple(int(x) for x in l)
         if g < 0:
             raise ValueError("genus must be non-negative")
@@ -93,7 +90,7 @@ class QuotProblem(Record):
             raise ValueError("d must be non-negative")
         if len(l) != r:
             raise ValueError("l must list one degree per summand")
-        super().__init__(g, r, l, d, ttilde)
+        super().__init__(g, r, l, d)
 
     @property
     def l_total(self) -> int:
@@ -102,10 +99,6 @@ class QuotProblem(Record):
     @property
     def gbar(self) -> int:
         return self.g - 1
-
-    @property
-    def mu(self) -> Fraction:
-        return Fraction(self.l_total, self.r)
 
 
 class Composition(Record):
@@ -212,7 +205,7 @@ def _u_concentrated(value: ULaurent) -> TPoly:
     # ULaurent windows are trimmed, so a nonzero value has nonzero ends.
     if value and (value.low != 0 or value.high != 0):
         raise ArithmeticError("nonzero u-degree in top coefficient")
-    return u_coefficient(value, 0)
+    return value.coefficient(0)
 
 
 def evaluate_composition(p: QuotProblem, c: Composition, w: WeightVector) -> TPoly:
@@ -265,6 +258,10 @@ def _poly_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
 
 def _series_mul(a: dict, b: dict, caps: tuple[int, ...]) -> dict:
     """Product of two multivariate series ``{exponents: Fraction}`` within ``caps``."""
+    if len(b) == 1:
+        ((kb, c),) = b.items()
+        if not any(kb):  # a constant: every key of a stays within caps
+            return {k: v * c for k, v in a.items()}
     out: dict[tuple[int, ...], Fraction] = {}
     for ka, va in a.items():
         for kb, vb in b.items():

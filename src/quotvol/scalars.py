@@ -17,7 +17,8 @@ Three nested rings, all over arbitrary-precision rationals
 
 ``quot_volume`` computes with ``TPoly`` alone; ``ULaurent`` and
 ``TruncSeries`` carry the unreduced localization pipeline that tests keep as
-its oracle, and ``ULaurent`` also carries the ``u^0`` guard.
+its oracle, and ``ULaurent`` also carries the ``u^0`` guard.  Of the three
+rings only ``TPoly`` is exported; the oracle stays importable from here.
 
 All values are immutable after construction and all operations are pure, so
 instances may be shared freely across threads.
@@ -32,16 +33,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-__all__ = [
-    "TPoly",
-    "ULaurent",
-    "TruncSeries",
-    "falling_factorial",
-    "general_binomial",
-    "series_pow_int",
-    "series_exp",
-    "u_coefficient",
-]
+__all__ = ["TPoly", "falling_factorial", "general_binomial"]
 
 
 def falling_factorial(g: int, k: int) -> Fraction:
@@ -181,13 +173,9 @@ class TPoly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return TPoly(tuple(c * other for c in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -202,11 +190,6 @@ class TPoly:
         return TPoly(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _as_fraction(other))
-        return NotImplemented
 
     def __pow__(self, e: int) -> TPoly:
         if not isinstance(e, int) or e < 0:
@@ -348,12 +331,6 @@ class ULaurent:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -377,9 +354,6 @@ class ULaurent:
             return NotImplemented
         return self.low == o.low and self.coeffs == o.coeffs
 
-    def __hash__(self):
-        return hash((self.low, self.coeffs))
-
     def as_unit_monomial(self) -> tuple[Fraction, int] | None:
         """Return ``(c, k)`` when this equals ``c * u^k`` with ``c`` a nonzero
         rational constant; ``None`` otherwise (including the zero value)."""
@@ -399,11 +373,6 @@ class ULaurent:
             if c
         ]
         return "ULaurent('" + " + ".join(parts) + "')"
-
-
-def u_coefficient(s: ULaurent, k: int) -> TPoly:
-    """Coefficient of ``u^k``; the zero polynomial outside the window."""
-    return s.coefficient(k)
 
 
 class TruncSeries:
@@ -478,9 +447,6 @@ class TruncSeries:
     def constant_term(self) -> ULaurent:
         return self.terms.get((0,) * (2 * self.r), ULaurent())
 
-    def coefficient(self, key: tuple[int, ...]) -> ULaurent:
-        return self.terms.get(tuple(key), ULaurent())
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -530,9 +496,6 @@ class TruncSeries:
             return NotImplemented
         return self + TruncSeries.scalar(self.caps, -ul)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             ul = self._coerce_scalar(other)
@@ -562,9 +525,6 @@ class TruncSeries:
         return result
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> TruncSeries:
-        return series_pow_int(self, e)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):

@@ -41,13 +41,13 @@ def _report():
 FROZEN = [
     (
         lambda: QuotProblem(2, 2, [0, 1], 3),
-        lambda: QuotProblem(g=2, r=2, l=(0, 1), d=3, ttilde=None),
-        "QuotProblem(g=2, r=2, l=(0, 1), d=3, ttilde=None)",
+        lambda: QuotProblem(g=2, r=2, l=(0, 1), d=3),
+        "QuotProblem(g=2, r=2, l=(0, 1), d=3)",
     ),
     (
-        lambda: QuotProblem(2, 2, (0, 1), 3, Fraction(1, 2)),
-        lambda: QuotProblem(ttilde=Fraction(1, 2), d=3, l=[0, 1], r=2, g=2),
-        "QuotProblem(g=2, r=2, l=(0, 1), d=3, ttilde=Fraction(1, 2))",
+        lambda: QuotProblem(0, 3, (2, -1, 0), 0),
+        lambda: QuotProblem(d=0, l=[2, -1, 0], r=3, g=0),
+        "QuotProblem(g=0, r=3, l=(2, -1, 0), d=0)",
     ),
     (
         lambda: Composition([1, 2]),
@@ -117,7 +117,7 @@ def test_frozen_fields_refuse_assignment(positional, keyword, text):
 
 def test_record_inequality_by_field():
     assert QuotProblem(2, 2, (0, 1), 3) != QuotProblem(2, 2, (0, 1), 4)
-    assert QuotProblem(2, 2, (0, 1), 3) != QuotProblem(2, 2, (0, 1), 3, Fraction(1))
+    assert QuotProblem(2, 2, (0, 1), 3) != QuotProblem(2, 2, (1, 0), 3)
     assert Composition((1, 2)) != Composition((2, 1))
     assert WeightVector((1, 2)) != WeightVector((2, 1))
     assert EmbeddingParams(1, 2, 3) != EmbeddingParams(1, 2, 4)
@@ -125,9 +125,8 @@ def test_record_inequality_by_field():
 
 def test_defaults_and_normalization():
     p = QuotProblem(2, 2, [0, 1], 3)
-    assert p.ttilde is None
     assert p.l == (0, 1) and isinstance(p.l, tuple)
-    assert (p.l_total, p.gbar, p.mu) == (1, 1, Fraction(1, 2))
+    assert (p.l_total, p.gbar) == (1, 1)
     assert Composition([1, 2]).parts == (1, 2) and Composition((1, 2)).total == 3
     assert WeightVector([1, 2]).w == (Fraction(1), Fraction(2))
     a = AcyclicData(1, 1, 2, (1, 0), H)
@@ -180,7 +179,7 @@ def test_jobspec_is_a_frozen_record():
     assert a == b and a != spec(QuotProblem(2, 2, (1, 0), 1))
     assert repr(a) == (
         "JobSpec(command='quot-volume', out_format='json', "
-        "problem=QuotProblem(g=2, r=2, l=(0, 1), d=1, ttilde=None), weights=None, n=None, "
+        "problem=QuotProblem(g=2, r=2, l=(0, 1), d=1), weights=None, n=None, "
         "t_mode='ttilde-symbolic', t_value=None, vol_X=None, pi_probe=None, "
         "echo={'command': 'quot-volume'})"
     )

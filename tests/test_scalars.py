@@ -13,7 +13,6 @@ from quotvol.scalars import (
     general_binomial,
     series_exp,
     series_pow_int,
-    u_coefficient,
 )
 
 
@@ -106,9 +105,9 @@ def test_tpoly_scalar_comparison_and_trim():
 
 def test_u_coefficient_examples():
     s = ULaurent(-1, (TPoly((3,)), TPoly.variable()))  # 3 u^-1 + t u^0
-    assert u_coefficient(s, 0) == TPoly.variable()
-    assert u_coefficient(s, -1) == TPoly((3,))
-    assert u_coefficient(ULaurent.zero(), 5) == TPoly()
+    assert s.coefficient(0) == TPoly.variable()
+    assert s.coefficient(-1) == TPoly((3,))
+    assert ULaurent.zero().coefficient(5) == TPoly()
 
 
 def test_ulaurent_arithmetic_and_trimming():
