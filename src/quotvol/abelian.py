@@ -18,6 +18,7 @@ unnormalized value is only reachable through rational stand-ins for pi (see
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
@@ -30,7 +31,7 @@ from .exterior import (
     theta_form,
     top_pairing,
 )
-from .scalars import Record, TPoly, falling_factorial
+from .scalars import Record, TPoly, _as_fraction, falling_factorial
 
 __all__ = [
     "CurveQuotProblem",
@@ -57,6 +58,7 @@ class CurveQuotProblem(Record):
     __slots__ = ("g", "deg_E", "d")
 
     def __init__(self, g: int, deg_E: int, d: int):
+        g, deg_E, d = operator.index(g), operator.index(deg_E), operator.index(d)
         if g < 0:
             raise ValueError("genus must be non-negative")
         if d < 0:
@@ -169,6 +171,7 @@ class AcyclicData(Record):
         h: Sequence[Sequence[Fraction | int]],
         kappa_forms: Mapping[tuple[int, int], AltForm] | None = None,
     ):
+        n, q = operator.index(n), operator.index(q)
         if n < 1:
             raise ValueError("base dimension must be positive")
         if q < 0:
@@ -178,9 +181,9 @@ class AcyclicData(Record):
         super().__init__(
             n,
             q,
-            Fraction(deg_E),
-            tuple(Fraction(p) for p in pairings),
-            tuple(tuple(Fraction(x) for x in row) for row in h),
+            _as_fraction(deg_E),
+            tuple(_as_fraction(p) for p in pairings),
+            tuple(tuple(_as_fraction(x) for x in row) for row in h),
             kappa_forms,
         )
         if len(self.pairings) != n + 1:
@@ -235,8 +238,6 @@ def acyclic_volume(data: AcyclicData) -> TPoly:
     the bracket is top evaluation on the rank-2q lattice; only theta
     exponents k <= q contribute.  Units of (4 pi^2)^N.
     """
-    if data.rank < 1:
-        raise ValueError("empty projective bundle")
     q = data.q
     N = data.dimension
     theta = theta_form(q, data.h)

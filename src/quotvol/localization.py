@@ -35,10 +35,10 @@ passes through ``_u_concentrated`` at ``u^(degree - d)``, which raises
 unless that exponent is 0.
 
 ``integrand`` and ``evaluate_composition`` keep the unreduced pipeline: a
-series in variable pairs ``(x_i, y_i)`` with Laurent coefficients in ``u``,
-whose exact multi-degree part is read off at ``u^0`` and weighted by falling
-factorials.  They serve as an independent oracle for the reduced engine and
-are not in ``__all__``.
+series in variable pairs ``(x_i, y_i)`` and ``u``, with the power of ``u`` as
+one more, signed, key exponent; its exact multi-degree part must sit at
+``u^0`` and is weighted by falling factorials.  They serve as an independent
+oracle for the reduced engine and are not in ``__all__``.
 
 The result is independent of the (pairwise distinct) torus weights; that
 freedom is kept as an end-to-end consistency check.
@@ -47,6 +47,7 @@ freedom is kept as an end-to-end consistency check.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,6 +56,7 @@ from .scalars import (
     TPoly,
     TruncSeries,
     ULaurent,
+    _as_fraction,
     falling_factorial,
     general_binomial,
     series_exp,
@@ -81,7 +83,8 @@ class QuotProblem(Record):
     __slots__ = ("g", "r", "l", "d")
 
     def __init__(self, g: int, r: int, l: Sequence[int], d: int):
-        l = tuple(int(x) for x in l)
+        g, r, d = operator.index(g), operator.index(r), operator.index(d)
+        l = tuple(operator.index(x) for x in l)
         if g < 0:
             raise ValueError("genus must be non-negative")
         if r < 1:
@@ -107,7 +110,7 @@ class Composition(Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(int(x) for x in parts)
+        parts = tuple(operator.index(x) for x in parts)
         if any(p < 0 for p in parts):
             raise ValueError("parts must be non-negative")
         super().__init__(parts)
@@ -123,7 +126,7 @@ class WeightVector(Record):
     __slots__ = ("w",)
 
     def __init__(self, w: Sequence[Fraction | int]):
-        w = tuple(Fraction(x) for x in w)
+        w = tuple(_as_fraction(x) for x in w)
         if len(set(w)) != len(w):
             raise ValueError("weights must be pairwise distinct")
         super().__init__(w)
@@ -169,32 +172,31 @@ def integrand(p: QuotProblem, c: Composition, w: WeightVector) -> TruncSeries:
     s = stability_weights(p, c)
     gbar = p.gbar
 
-    kahler = TruncSeries.zero(caps)
+    kahler = TruncSeries(caps)
     for i in range(1, p.r + 1):
-        kahler = kahler + TruncSeries.x(caps, i) * s[i - 1] + TruncSeries.y(caps, i)
+        kahler = kahler + TruncSeries.monomial(caps, s[i - 1], x=i) + TruncSeries.monomial(caps, y=i)
     s_dot_w = TPoly()
     for i in range(p.r):
         s_dot_w = s_dot_w + s[i] * w.w[i]
-    kahler = kahler - TruncSeries.scalar(caps, ULaurent.monomial(s_dot_w, 1))
+    kahler = kahler - TruncSeries.monomial(caps, s_dot_w, u=1)
     f = series_pow_int(kahler, p.r * p.d)
 
     for i in range(1, p.r + 1):
         for j in range(1, p.r + 1):
             if i == j:
                 continue
-            base = TruncSeries.x(caps, i) + TruncSeries.scalar(
-                caps, ULaurent.monomial(w.w[j - 1] - w.w[i - 1], 1)
-            )
+            wji = w.w[j - 1] - w.w[i - 1]
+            base = TruncSeries.monomial(caps, x=i) + TruncSeries.monomial(caps, wji, u=1)
             exponent = gbar + p.l[i - 1] - c.parts[i - 1] - p.l[j - 1]
             f = f * series_pow_int(base, exponent)
-            f = f * series_exp(TruncSeries.y(caps, i) * series_pow_int(base, -1))
+            f = f * series_exp(TruncSeries.monomial(caps, y=i) * series_pow_int(base, -1))
 
     for i in range(1, p.r + 1):
         for j in range(i + 1, p.r + 1):
             base = (
-                TruncSeries.x(caps, i)
-                - TruncSeries.x(caps, j)
-                + TruncSeries.scalar(caps, ULaurent.monomial(w.w[j - 1] - w.w[i - 1], 1))
+                TruncSeries.monomial(caps, x=i)
+                - TruncSeries.monomial(caps, x=j)
+                + TruncSeries.monomial(caps, w.w[j - 1] - w.w[i - 1], u=1)
             )
             f = f * series_pow_int(base, -2 * gbar)
     return f
@@ -213,8 +215,8 @@ def evaluate_composition(p: QuotProblem, c: Composition, w: WeightVector) -> TPo
     the 1/(rd)! normalization.
 
     Only monomials of exact multi-degree (d_1, ..., d_r) enter; each is
-    checked to be concentrated in u^0 and weighted by the product of falling
-    factorials from the theta-power intersection numbers.
+    checked to sit at u^0 and weighted by the product of falling factorials
+    from the theta-power intersection numbers.
     """
     f = integrand(p, c, w)
     parts = c.parts
@@ -222,14 +224,15 @@ def evaluate_composition(p: QuotProblem, c: Composition, w: WeightVector) -> TPo
     for key, value in f.terms.items():
         if any(key[2 * i] + key[2 * i + 1] != parts[i] for i in range(p.r)):
             continue
-        coeff = _u_concentrated(value)
+        if key[-1]:
+            raise ArithmeticError("nonzero u-degree in top coefficient")
         weight = Fraction(1)
         for i in range(p.r):
             weight *= falling_factorial(p.g, key[2 * i + 1])
             if weight == 0:
                 break
         if weight:
-            total = total + coeff * weight
+            total = total + value * weight
     return total
 
 

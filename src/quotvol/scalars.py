@@ -1,24 +1,24 @@
 """Exact arithmetic tower underlying every volume computation.
 
-Three nested rings, all over arbitrary-precision rationals
-(``fractions.Fraction``; no floating point anywhere):
+All arithmetic is over arbitrary-precision rationals (``fractions.Fraction``;
+no floating point anywhere):
 
 * ``TPoly`` -- polynomials in the formal stability variable.  Volumes are
   returned as elements of this ring.
-* ``ULaurent`` -- Laurent polynomials in the equivariant variable ``u`` with
-  ``TPoly`` coefficients and a finite exponent window.  The window is never
-  pre-truncated: negative powers produced by binomial expansions cancel only
-  once the ``u^0`` part is extracted at the very end.
-* ``TruncSeries`` -- sparse multivariate series in variable pairs
-  ``(x_1, y_1), ..., (x_r, y_r)`` over ``ULaurent``, truncated by the joint
-  caps ``deg(x_i) + deg(y_i) <= d_i``.  Every operation discards monomials
-  beyond the caps, so each ``x_i``, ``y_i`` is nilpotent; this is what makes
-  ``series_pow_int`` with negative exponents and ``series_exp`` terminate.
+* ``TruncSeries`` -- sparse series over ``TPoly`` in variable pairs
+  ``(x_1, y_1), ..., (x_r, y_r)`` and the equivariant variable ``u``,
+  truncated by the joint caps ``deg(x_i) + deg(y_i) <= d_i``.  Every
+  operation discards monomials beyond the caps, so each ``x_i``, ``y_i`` is
+  nilpotent; this is what makes ``series_pow_int`` with negative exponents
+  and ``series_exp`` terminate.  The power of ``u`` is one more exponent,
+  signed and never truncated: negative powers produced by binomial
+  expansions cancel only once the ``u^0`` part is extracted at the very end.
+* ``ULaurent`` -- a Laurent polynomial in ``u`` over ``TPoly``, with no
+  arithmetic: the value the ``u^0`` guard of ``quot_volume`` reads.
 
-``quot_volume`` computes with ``TPoly`` alone; ``ULaurent`` and
-``TruncSeries`` carry the unreduced localization pipeline that tests keep as
-its oracle, and ``ULaurent`` also carries the ``u^0`` guard.  Of the three
-rings only ``TPoly`` is exported; the oracle stays importable from here.
+``quot_volume`` computes with ``TPoly`` alone; ``TruncSeries`` carries the
+unreduced localization pipeline that tests keep as its oracle.  Only
+``TPoly`` is exported; the oracle stays importable from here.
 
 All values are immutable after construction and all operations are pure, so
 instances may be shared freely across threads.
@@ -248,7 +248,8 @@ class TPoly:
 
 
 class ULaurent:
-    """Laurent polynomial in the equivariant variable ``u`` over ``TPoly``.
+    """Laurent polynomial in the equivariant variable ``u`` over ``TPoly``:
+    the value the ``u^0`` guard reads.
 
     Stored as a finite window ``coeffs[j]`` = coefficient of
     ``u^(low + j)``, with zero coefficients trimmed at both ends.
@@ -272,16 +273,8 @@ class ULaurent:
             self.coeffs = tuple(cs[start:end])
 
     @classmethod
-    def zero(cls) -> ULaurent:
-        return cls()
-
-    @classmethod
     def monomial(cls, coeff, exponent: int) -> ULaurent:
         return cls(exponent, (coeff,))
-
-    @classmethod
-    def from_scalar(cls, value) -> ULaurent:
-        return cls(0, (value,))
 
     @property
     def high(self) -> int:
@@ -297,109 +290,33 @@ class ULaurent:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    @staticmethod
-    def _coerce(other) -> "ULaurent | None":
-        if isinstance(other, ULaurent):
-            return other
-        if isinstance(other, (TPoly, int, Fraction)):
-            return ULaurent(0, (other,))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs:
-            return o
-        if not o.coeffs:
-            return self
-        low = min(self.low, o.low)
-        high = max(self.high, o.high)
-        return ULaurent(
-            low,
-            tuple(self.coefficient(k) + o.coefficient(k) for k in range(low, high + 1)),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> ULaurent:
-        return ULaurent(self.low, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return ULaurent()
-        out = [TPoly() for _ in range(len(self.coeffs) + len(o.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return ULaurent(self.low + o.low, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.low == o.low and self.coeffs == o.coeffs
-
-    def as_unit_monomial(self) -> tuple[Fraction, int] | None:
-        """Return ``(c, k)`` when this equals ``c * u^k`` with ``c`` a nonzero
-        rational constant; ``None`` otherwise (including the zero value)."""
-        if len(self.coeffs) != 1:
-            return None
-        c = self.coeffs[0]
-        if c.degree != 0:
-            return None
-        return c.coefficient(0), self.low
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "ULaurent('0')"
-        parts = [
-            f"({c._plain()})*u^{self.low + j}"
-            for j, c in enumerate(self.coeffs)
-            if c
-        ]
-        return "ULaurent('" + " + ".join(parts) + "')"
-
 
 class TruncSeries:
-    """Sparse truncated series in pairs ``(x_i, y_i)``, i = 1..r, over ``ULaurent``.
+    """Sparse truncated series over ``TPoly`` in ``(x_i, y_i)``, i = 1..r, and ``u``.
 
-    Terms are keyed by exponent vectors ``(a_1, b_1, ..., a_r, b_r)`` subject
-    to ``a_i + b_i <= caps[i]``; anything beyond the caps is dropped, so a cap
-    of 0 makes the corresponding pair of variables identically zero.
+    Terms are keyed by exponent vectors ``(a_1, b_1, ..., a_r, b_r, k)`` for
+    ``x^a y^b u^k``.  The x/y exponents are subject to ``a_i + b_i <= caps[i]``;
+    anything beyond the caps is dropped, so a cap of 0 makes the corresponding
+    pair of variables identically zero.  The u exponent ``k`` is any integer
+    and is never truncated.
     """
 
     __slots__ = ("caps", "terms")
 
-    def __init__(self, caps: Iterable[int], terms: Mapping[tuple[int, ...], ULaurent] | None = None):
+    def __init__(self, caps: Iterable[int],
+                 terms: Mapping[tuple[int, ...], TPoly | Fraction | int] | None = None):
         caps = tuple(int(c) for c in caps)
         if any(c < 0 for c in caps):
             raise ValueError("caps must be non-negative")
         self.caps = caps
-        out: dict[tuple[int, ...], ULaurent] = {}
+        out: dict[tuple[int, ...], TPoly] = {}
         if terms:
             for key, val in terms.items():
                 key = tuple(key)
-                if len(key) != 2 * len(caps) or any(e < 0 for e in key):
+                if len(key) != 2 * len(caps) + 1 or any(e < 0 for e in key[:-1]):
                     raise ValueError(f"bad exponent vector {key!r}")
-                if not self._within_caps(key):
-                    continue
-                if val:
-                    out[key] = val
+                if self._within_caps(key) and val:
+                    out[key] = val if isinstance(val, TPoly) else TPoly((val,))
         self.terms = out
 
     def _within_caps(self, key: tuple[int, ...]) -> bool:
@@ -407,75 +324,45 @@ class TruncSeries:
         return all(key[2 * i] + key[2 * i + 1] <= caps[i] for i in range(len(caps)))
 
     @property
-    def r(self) -> int:
-        return len(self.caps)
-
-    @property
     def nilpotency(self) -> int:
         """Total-degree bound: products of more than this many variables vanish."""
         return sum(self.caps)
 
     @classmethod
-    def zero(cls, caps) -> TruncSeries:
-        return cls(caps)
-
-    @classmethod
-    def scalar(cls, caps, value) -> TruncSeries:
-        ul = value if isinstance(value, ULaurent) else ULaurent.from_scalar(value)
-        key = (0,) * (2 * len(tuple(caps)))
-        return cls(caps, {key: ul})
-
-    @classmethod
-    def one(cls, caps) -> TruncSeries:
-        return cls.scalar(caps, 1)
-
-    @classmethod
-    def x(cls, caps, i: int) -> TruncSeries:
-        """The variable x_i (1-based); zero when caps[i-1] == 0."""
+    def monomial(cls, caps, value=1, u: int = 0, x: int | None = None,
+                 y: int | None = None) -> TruncSeries:
+        """``value`` times the ``u``-th power of ``u``, times ``x_x`` and
+        ``y_y`` (1-based) when given; zero when their caps leave no room."""
         caps = tuple(caps)
-        key = [0] * (2 * len(caps))
-        key[2 * (i - 1)] = 1
-        return cls(caps, {tuple(key): ULaurent.from_scalar(1)})
-
-    @classmethod
-    def y(cls, caps, i: int) -> TruncSeries:
-        caps = tuple(caps)
-        key = [0] * (2 * len(caps))
-        key[2 * (i - 1) + 1] = 1
-        return cls(caps, {tuple(key): ULaurent.from_scalar(1)})
-
-    def constant_term(self) -> ULaurent:
-        return self.terms.get((0,) * (2 * self.r), ULaurent())
+        key = [0] * (2 * len(caps)) + [u]
+        if x is not None:
+            key[2 * x - 2] = 1
+        if y is not None:
+            key[2 * y - 1] = 1
+        return cls(caps, {tuple(key): value})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _require_compatible(self, other: TruncSeries):
-        if self.caps != other.caps:
-            raise ValueError(f"cap mismatch: {self.caps} vs {other.caps}")
-
-    @staticmethod
-    def _coerce_scalar(value) -> ULaurent | None:
-        if isinstance(value, ULaurent):
-            return value
-        if isinstance(value, (TPoly, int, Fraction)):
-            return ULaurent.from_scalar(value)
+    def _coerce(self, other) -> TruncSeries | None:
+        """``other`` as a series with these caps; a scalar sits at ``u^0``."""
+        if isinstance(other, TruncSeries):
+            if self.caps != other.caps:
+                raise ValueError(f"cap mismatch: {self.caps} vs {other.caps}")
+            return other
+        if isinstance(other, (TPoly, int, Fraction)):
+            return TruncSeries.monomial(self.caps, other)
         return None
 
     def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            ul = self._coerce_scalar(other)
-            if ul is None:
-                return NotImplemented
-            other = TruncSeries.scalar(self.caps, ul)
-        self._require_compatible(other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         out = dict(self.terms)
-        for key, val in other.terms.items():
-            s = out.get(key, ULaurent()) + val
+        for key, val in o.terms.items():
+            s = out.pop(key, TPoly()) + val
             if s:
                 out[key] = s
-            else:
-                out.pop(key, None)
         result = TruncSeries(self.caps)
         result.terms = out
         return result
@@ -488,39 +375,25 @@ class TruncSeries:
         return result
 
     def __sub__(self, other):
-        if isinstance(other, TruncSeries):
-            self._require_compatible(other)
-            return self + (-other)
-        ul = self._coerce_scalar(other)
-        if ul is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self + TruncSeries.scalar(self.caps, -ul)
+        return self + (-o)
 
     def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            ul = self._coerce_scalar(other)
-            if ul is None:
-                return NotImplemented
-            if not ul:
-                return TruncSeries(self.caps)
-            result = TruncSeries(self.caps)
-            result.terms = {k: v * ul for k, v in self.terms.items()}
-            return result
-        self._require_compatible(other)
-        caps = self.caps
-        r = len(caps)
-        out: dict[tuple[int, ...], ULaurent] = {}
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out: dict[tuple[int, ...], TPoly] = {}
         for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = tuple(ka[i] + kb[i] for i in range(2 * r))
+            for kb, vb in o.terms.items():
+                key = tuple(a + b for a, b in zip(ka, kb))
                 if not self._within_caps(key):
                     continue
-                s = out.get(key, ULaurent()) + va * vb
+                s = out.pop(key, TPoly()) + va * vb
                 if s:
                     out[key] = s
-                else:
-                    out.pop(key, None)
-        result = TruncSeries(caps)
+        result = TruncSeries(self.caps)
         result.terms = out
         return result
 
@@ -528,10 +401,7 @@ class TruncSeries:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
-            ul = self._coerce_scalar(other)
-            if ul is None:
-                return NotImplemented
-            other = TruncSeries.scalar(self.caps, ul)
+            return NotImplemented
         return self.caps == other.caps and self.terms == other.terms
 
     def __repr__(self) -> str:
@@ -542,7 +412,7 @@ class TruncSeries:
 
 
 def _pow_repeated(base: TruncSeries, e: int) -> TruncSeries:
-    result = TruncSeries.one(base.caps)
+    result = TruncSeries.monomial(base.caps)
     b = base
     while e:
         if e & 1:
@@ -556,43 +426,43 @@ def _pow_repeated(base: TruncSeries, e: int) -> TruncSeries:
 def series_pow_int(base: TruncSeries, e: int) -> TruncSeries:
     """``base ** e`` in the truncated ring; ``e`` may be negative.
 
-    When the constant term (all x, y exponents zero) is a unit monomial
-    ``c * u^k``, the power is computed by factoring the unit out and applying
-    the generalized binomial series to the nilpotent remainder, which
-    terminates by cap-nilpotency.  Otherwise only ``e >= 0`` is possible and
-    plain multiplication is used.
+    When the x/y-free part of the base is a single unit monomial ``c * u^k``,
+    the power is computed by factoring the unit out and applying the
+    generalized binomial series to the nilpotent remainder, which terminates
+    by cap-nilpotency.  Otherwise only ``e >= 0`` is possible and plain
+    multiplication is used.
     """
     if not isinstance(e, int):
         raise TypeError("exponent must be an integer")
     if e == 0:
-        return TruncSeries.one(base.caps)
-    unit = base.constant_term().as_unit_monomial()
-    if unit is None:
+        return TruncSeries.monomial(base.caps)
+    free = [(key[-1], val) for key, val in base.terms.items() if not any(key[:-1])]
+    if len(free) != 1 or free[0][1].degree != 0:
         if e < 0:
             raise ValueError("non-unit base for negative power")
         return _pow_repeated(base, e)
-    c, k = unit
+    k, c = free[0][0], free[0][1].coefficient(0)
     # base = c u^k (1 + z) with z nilpotent, so base^e = c^e u^{ke} sum C(e,j) z^j.
-    z = base * ULaurent.monomial(TPoly((Fraction(1) / c,)), -k) - 1
-    acc = TruncSeries.one(base.caps)
-    zpow = TruncSeries.one(base.caps)
+    z = base * TruncSeries.monomial(base.caps, 1 / c, -k) - 1
+    acc = TruncSeries.monomial(base.caps)
+    zpow = acc
     for j in range(1, base.nilpotency + 1):
         zpow = zpow * z
         if not zpow:
             break
         acc = acc + zpow * general_binomial(e, j)
-    return acc * ULaurent.monomial(TPoly((c ** e,)), k * e)
+    return acc * TruncSeries.monomial(base.caps, c ** e, k * e)
 
 
 def series_exp(arg: TruncSeries) -> TruncSeries:
-    """``sum arg^k / k!``; requires a vanishing constant term.
+    """``sum arg^k / k!``; requires every term to carry an x or a y.
 
     Terminates because the argument is nilpotent under the caps.
     """
-    if arg.constant_term():
+    if any(not any(key[:-1]) for key in arg.terms):
         raise ValueError("exponential of non-nilpotent argument")
-    acc = TruncSeries.one(arg.caps)
-    term = TruncSeries.one(arg.caps)
+    acc = TruncSeries.monomial(arg.caps)
+    term = acc
     for k in range(1, arg.nilpotency + 1):
         term = term * arg * Fraction(1, k)
         if not term:

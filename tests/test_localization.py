@@ -18,7 +18,7 @@ from quotvol.localization import (
     stability_weights,
     verify_weight_independence,
 )
-from quotvol.scalars import TPoly, ULaurent
+from quotvol.scalars import TPoly, TruncSeries, ULaurent, series_pow_int
 
 
 def wv(*values):
@@ -48,23 +48,22 @@ def test_integrand_rank_one_collapses():
     c = Composition((2,))
     w = wv(3)
     f = integrand(p, c, w)
-    from quotvol.scalars import TruncSeries, series_pow_int
 
     caps = (2,)
     s = TPoly((2, 1))  # ttilde + l - d
     direct = (
-        TruncSeries.x(caps, 1) * s
-        + TruncSeries.y(caps, 1)
-        - TruncSeries.scalar(caps, ULaurent.monomial(s * 3, 1))
+        TruncSeries.monomial(caps, s, x=1)
+        + TruncSeries.monomial(caps, y=1)
+        - TruncSeries.monomial(caps, s * 3, u=1)
     )
     assert f == series_pow_int(direct, 2)
 
 
 def test_integrand_point_component_is_laurent_scalar():
-    # all caps zero: the only term is the xy-constant one
+    # all caps zero: every term is free of x and y
     p = QuotProblem(g=1, r=2, l=(1, 0), d=0)
     f = integrand(p, Composition((0, 0)), wv(0, 1))
-    assert set(f.terms) <= {(0, 0, 0, 0)}
+    assert f and all(key[:4] == (0, 0, 0, 0) for key in f.terms)
 
 
 def test_integrand_first_order_fixture():
@@ -75,20 +74,29 @@ def test_integrand_first_order_fixture():
     p = QuotProblem(g=0, r=2, l=(0, 0), d=1)
     f = integrand(p, Composition((1, 0)), wv(0, 1))
     want = {
-        (0, 0, 0, 0): ULaurent.monomial(TPoly((0, 0, -1)), 1),
-        (1, 0, 0, 0): ULaurent.from_scalar(TPoly((0, -2, 2))),
-        (0, 1, 0, 0): ULaurent.from_scalar(TPoly((0, 2, -1))),
+        (0, 0, 0, 0, 1): TPoly((0, 0, -1)),
+        (1, 0, 0, 0, 0): TPoly((0, -2, 2)),
+        (0, 1, 0, 0, 0): TPoly((0, 2, -1)),
     }
     assert f.terms == want
 
 
 def test_u_concentration_guard():
-    assert _u_concentrated(ULaurent.from_scalar(TPoly((1, 2)))) == TPoly((1, 2))
-    assert _u_concentrated(ULaurent.zero()) == TPoly()
+    assert _u_concentrated(ULaurent.monomial(TPoly((1, 2)), 0)) == TPoly((1, 2))
+    assert _u_concentrated(ULaurent()) == TPoly()
     with pytest.raises(ArithmeticError, match="nonzero u-degree"):
         _u_concentrated(ULaurent.monomial(1, 1))
     with pytest.raises(ArithmeticError, match="nonzero u-degree"):
         _u_concentrated(ULaurent(-1, (1, 1)))
+
+
+def test_evaluate_composition_refuses_a_top_term_off_u0(monkeypatch):
+    p = QuotProblem(g=1, r=2, l=(0, 0), d=1)
+    caps = (1, 0)
+    top_at_u1 = TruncSeries(caps, {(1, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0): 5})
+    monkeypatch.setattr(localization, "integrand", lambda p, c, w: top_at_u1)
+    with pytest.raises(ArithmeticError, match="nonzero u-degree in top coefficient"):
+        evaluate_composition(p, Composition(caps), wv(0, 1))
 
 
 def test_evaluate_composition_rank_one_matches_abelian():

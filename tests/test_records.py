@@ -169,6 +169,31 @@ def test_constructor_errors(build, message):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QuotProblem(1, 2, (0.5, 1.7), 1),
+    lambda: QuotProblem(1, 2, "01", 1),
+    lambda: QuotProblem(1.0, 2, (0, 1), 1),
+    lambda: QuotProblem(1, 2.0, (0, 1), 1),
+    lambda: QuotProblem(1, 2, (0, 1), "1"),
+    lambda: Composition((1.5, 0)),
+    lambda: Composition("10"),
+    lambda: WeightVector((0.5, 1)),
+    lambda: WeightVector(("1/2", 1)),
+    lambda: CurveQuotProblem(1.5, 0, 1),
+    lambda: CurveQuotProblem(1, 0.5, 1),
+    lambda: CurveQuotProblem(1, 0, "1"),
+    lambda: AcyclicData(1.0, 1, 2, (1, 0), H),
+    lambda: AcyclicData(1, "1", 2, (1, 0), H),
+    lambda: AcyclicData(1, 1, 2.5, (1, 0), H),
+    lambda: AcyclicData(1, 1, 2, (1.0, 0), H),
+    lambda: AcyclicData(1, 1, 2, (1, 0), ((0, 0.5), (-1, 0))),
+])
+def test_constructors_refuse_inexact_numbers(build):
+    """A float or a string is refused, not truncated or parsed."""
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_jobspec_is_a_frozen_record():
     def spec(problem):
         return JobSpec("quot-volume", "json", problem, None, None, "ttilde-symbolic",

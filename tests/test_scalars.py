@@ -17,7 +17,7 @@ from quotvol.scalars import (
 
 
 def all_keys(caps):
-    """Every exponent vector allowed by the caps."""
+    """Every x/y exponent vector allowed by the caps."""
     ranges = []
     for c in caps:
         ranges.append([(a, b) for a in range(c + 1) for b in range(c + 1 - a)])
@@ -29,26 +29,28 @@ def random_tpoly(rng, max_deg=2):
     return TPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(max_deg + 1)])
 
 
-def random_ulaurent(rng):
-    low = rng.randint(-2, 1)
-    return ULaurent(low, [random_tpoly(rng) for _ in range(rng.randint(1, 3))])
-
-
 def random_series(rng, caps, density=0.5):
+    """Each x/y monomial, with the given chance, times a run of 1 to 3
+    consecutive powers of u starting between u^-2 and u^1."""
     terms = {}
     for key in all_keys(caps):
         if rng.random() < density:
-            terms[key] = random_ulaurent(rng)
+            low = rng.randint(-2, 1)
+            for k in range(low, low + rng.randint(1, 3)):
+                terms[key + (k,)] = random_tpoly(rng)
     return TruncSeries(caps, terms)
+
+
+def without_xy_free_terms(s):
+    """``s`` with every term free of x and y removed: a nilpotent series."""
+    return TruncSeries(s.caps, {k: v for k, v in s.terms.items() if any(k[:-1])})
 
 
 def random_unit_series(rng, caps):
-    """Random series whose constant term is a unit monomial c * u^k."""
-    s = random_series(rng, caps)
+    """Random series whose x/y-free part is a unit monomial c * u^k."""
+    s = without_xy_free_terms(random_series(rng, caps))
     c = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
-    terms = dict(s.terms)
-    terms[(0,) * (2 * len(caps))] = ULaurent.monomial(c, rng.randint(-1, 1))
-    return TruncSeries(caps, terms)
+    return s + TruncSeries.monomial(caps, c, u=rng.randint(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +109,39 @@ def test_u_coefficient_examples():
     s = ULaurent(-1, (TPoly((3,)), TPoly.variable()))  # 3 u^-1 + t u^0
     assert s.coefficient(0) == TPoly.variable()
     assert s.coefficient(-1) == TPoly((3,))
-    assert ULaurent.zero().coefficient(5) == TPoly()
+    assert ULaurent().coefficient(5) == TPoly()
 
 
-def test_ulaurent_arithmetic_and_trimming():
-    a = ULaurent.monomial(2, 3)
-    b = ULaurent.monomial(Fraction(1, 2), -1)
-    assert a * b == ULaurent.monomial(1, 2)
-    assert (a - a) == ULaurent.zero()
-    assert not (a + (-a))
+def test_ulaurent_trimming():
     s = ULaurent(-1, (0, 1, 0))  # only the u^0 slot is nonzero
     assert s.low == 0 and s.high == 0
+    assert not ULaurent(3, (0, 0))
 
 
-def test_ulaurent_unit_detection():
-    assert ULaurent.monomial(Fraction(5), -2).as_unit_monomial() == (Fraction(5), -2)
-    assert ULaurent.zero().as_unit_monomial() is None
-    assert ULaurent.monomial(TPoly.variable(), 0).as_unit_monomial() is None
-    assert ULaurent(0, (1, 1)).as_unit_monomial() is None
+# ---------------------------------------------------------------------------
+# series keys
+
+def test_series_keys_carry_a_signed_u_exponent():
+    caps = (1, 2)
+    s = TruncSeries(caps, {(0, 1, 2, 0, -3): 2, (1, 0, 0, 0, 4): TPoly.variable()})
+    assert s.terms == {(0, 1, 2, 0, -3): TPoly((2,)), (1, 0, 0, 0, 4): TPoly.variable()}
+    # beyond the caps: dropped, however the u exponent reads
+    assert not TruncSeries(caps, {(1, 1, 0, 0, 0): 1, (0, 0, 0, 3, -1): 1})
+
+
+@pytest.mark.parametrize("key", [(0, 0), (0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (-1, 0, 0)])
+def test_series_rejects_bad_exponent_vectors(key):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        TruncSeries((1,), {key: 1})
+
+
+def test_series_monomial():
+    caps = (1, 1)
+    assert TruncSeries.monomial(caps).terms == {(0, 0, 0, 0, 0): TPoly((1,))}
+    assert TruncSeries.monomial(caps, 3, u=-2, y=2).terms == {(0, 0, 0, 1, -2): TPoly((3,))}
+    assert TruncSeries.monomial(caps, x=1, y=2).terms == {(1, 0, 0, 1, 0): TPoly((1,))}
+    assert not TruncSeries.monomial(caps, 0)
+    assert not TruncSeries.monomial(caps, x=1, y=1)  # x_1 y_1 exceeds the cap 1
 
 
 # ---------------------------------------------------------------------------
@@ -132,37 +149,24 @@ def test_ulaurent_unit_detection():
 
 def test_pow_scalar_monomial():
     caps = (1,)
-    base = TruncSeries.scalar(caps, ULaurent.monomial(5, 1))  # 5u
+    base = TruncSeries.monomial(caps, 5, u=1)  # 5u
     got = series_pow_int(base, -2)
-    assert got == TruncSeries.scalar(caps, ULaurent.monomial(Fraction(1, 25), -2))
+    assert got == TruncSeries.monomial(caps, Fraction(1, 25), u=-2)
 
 
 def test_pow_geometric_truncation():
     caps = (1,)
-    base = TruncSeries.scalar(caps, ULaurent.monomial(1, 1)) + TruncSeries.x(caps, 1)
+    base = TruncSeries.monomial(caps, u=1) + TruncSeries.monomial(caps, x=1)
     got = series_pow_int(base, -1)
-    want = TruncSeries(
-        caps,
-        {
-            (0, 0): ULaurent.monomial(1, -1),
-            (1, 0): ULaurent.monomial(-1, -2),
-        },
-    )
+    want = TruncSeries(caps, {(0, 0, -1): 1, (1, 0, -2): -1})
     assert got == want
 
 
 def test_pow_positive_binomial_matches_repeated_multiplication():
     caps = (2,)
-    base = TruncSeries.scalar(caps, ULaurent.monomial(1, 1)) + TruncSeries.x(caps, 1)
+    base = TruncSeries.monomial(caps, u=1) + TruncSeries.monomial(caps, x=1)
     got = series_pow_int(base, 3)
-    want = TruncSeries(
-        caps,
-        {
-            (0, 0): ULaurent.monomial(1, 3),
-            (1, 0): ULaurent.monomial(3, 2),
-            (2, 0): ULaurent.monomial(3, 1),
-        },
-    )
+    want = TruncSeries(caps, {(0, 0, 3): 1, (1, 0, 2): 3, (2, 0, 1): 3})
     assert got == want
     assert got == base * base * base
 
@@ -172,7 +176,7 @@ def test_pow_oracle_repeated_multiplication_random():
     for caps in ((2,), (1, 1), (2, 1)):
         for _ in range(5):
             s = random_series(rng, caps)
-            acc = TruncSeries.one(caps)
+            acc = TruncSeries.monomial(caps)
             for e in range(6):
                 assert series_pow_int(s, e) == acc
                 acc = acc * s
@@ -185,17 +189,23 @@ def test_pow_inverse_cancels():
             s = random_unit_series(rng, caps)
             for e in range(-4, 5):
                 prod = series_pow_int(s, e) * series_pow_int(s, -e)
-                assert prod == TruncSeries.one(caps)
+                assert prod == TruncSeries.monomial(caps)
 
 
 def test_pow_negative_requires_unit():
     caps = (1,)
     with pytest.raises(ValueError, match="non-unit base for negative power"):
-        series_pow_int(TruncSeries.x(caps, 1), -1)
-    # constant term with a non-constant TPoly coefficient is not a unit
-    bad = TruncSeries.scalar(caps, ULaurent.monomial(TPoly.variable(), 1))
+        series_pow_int(TruncSeries.monomial(caps, x=1), -1)
+    # an x/y-free term with a non-constant TPoly coefficient is not a unit
+    bad = TruncSeries.monomial(caps, TPoly.variable(), u=1)
     with pytest.raises(ValueError, match="non-unit base for negative power"):
         series_pow_int(bad, -2)
+    # nor are two x/y-free terms, nor a zero one
+    two = TruncSeries.monomial(caps, u=1) + TruncSeries.monomial(caps, u=0)
+    with pytest.raises(ValueError, match="non-unit base for negative power"):
+        series_pow_int(two, -1)
+    with pytest.raises(ValueError, match="non-unit base for negative power"):
+        series_pow_int(TruncSeries(caps), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,40 +213,32 @@ def test_pow_negative_requires_unit():
 
 def test_exp_examples():
     caps = (1,)
-    assert series_exp(TruncSeries.zero(caps)) == TruncSeries.one(caps)
-    got = series_exp(TruncSeries.y(caps, 1))
-    assert got == TruncSeries.one(caps) + TruncSeries.y(caps, 1)
+    one = TruncSeries.monomial(caps)
+    assert series_exp(TruncSeries(caps)) == one
+    got = series_exp(TruncSeries.monomial(caps, y=1))
+    assert got == one + TruncSeries.monomial(caps, y=1)
 
     caps = (2,)
-    arg = TruncSeries.y(caps, 1) * ULaurent.monomial(1, -1)
+    arg = TruncSeries.monomial(caps, u=-1, y=1)
     got = series_exp(arg)
-    want = TruncSeries(
-        caps,
-        {
-            (0, 0): ULaurent.monomial(1, 0),
-            (0, 1): ULaurent.monomial(1, -1),
-            (0, 2): ULaurent.monomial(Fraction(1, 2), -2),
-        },
-    )
+    want = TruncSeries(caps, {(0, 0, 0): 1, (0, 1, -1): 1, (0, 2, -2): Fraction(1, 2)})
     assert got == want
 
 
 def test_exp_requires_nilpotent():
     caps = (1,)
     with pytest.raises(ValueError, match="non-nilpotent"):
-        series_exp(TruncSeries.one(caps))
+        series_exp(TruncSeries.monomial(caps))
+    with pytest.raises(ValueError, match="non-nilpotent"):
+        series_exp(TruncSeries.monomial(caps, x=1) + TruncSeries.monomial(caps, u=2))
 
 
 def test_exp_is_a_homomorphism():
     rng = random.Random(23)
     for caps in ((1, 1), (2,)):
         for _ in range(4):
-            a = random_series(rng, caps)
-            b = random_series(rng, caps)
-            # strip constant terms to make the arguments nilpotent
-            zero_key = (0,) * (2 * len(caps))
-            a = a - TruncSeries.scalar(caps, a.constant_term()) if zero_key in a.terms else a
-            b = b - TruncSeries.scalar(caps, b.constant_term()) if zero_key in b.terms else b
+            a = without_xy_free_terms(random_series(rng, caps))
+            b = without_xy_free_terms(random_series(rng, caps))
             assert series_exp(a) * series_exp(b) == series_exp(a + b)
 
 
@@ -257,6 +259,6 @@ def test_truncated_ring_axioms():
 
 def test_zero_caps_drop_variables():
     caps = (0, 1)
-    assert not TruncSeries.x(caps, 1)
-    assert not TruncSeries.y(caps, 1)
-    assert TruncSeries.x(caps, 2)
+    assert not TruncSeries.monomial(caps, x=1)
+    assert not TruncSeries.monomial(caps, y=1)
+    assert TruncSeries.monomial(caps, x=2)
