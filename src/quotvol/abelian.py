@@ -31,7 +31,7 @@ from .exterior import (
     theta_form,
     top_pairing,
 )
-from .scalars import Record, TPoly, _as_fraction, falling_factorial
+from .scalars import InputError, Record, TPoly, _as_fraction, falling_factorial
 
 __all__ = [
     "CurveQuotProblem",
@@ -158,6 +158,9 @@ class AcyclicData(Record):
     the theta class, and ``kappa_forms[(i, s)]`` the degree-2i form
     ``x_1, ..., x_2i -> <x_1 ... x_2i m^s C_(n-i-s), [X]>``.  Records compare
     by value; holding a dict, they do not hash.
+
+    A bad ``pairings`` or ``h`` raises ``InputError`` naming the field when
+    the record is built.
     """
 
     __slots__ = ("n", "q", "deg_E", "pairings", "h", "kappa_forms")
@@ -187,10 +190,12 @@ class AcyclicData(Record):
             kappa_forms,
         )
         if len(self.pairings) != n + 1:
-            raise ValueError("need pairings for s = 0..n")
+            raise InputError("pairings", f"need pairings for s = 0..n: expected {n + 1} "
+                             f"entries, got {len(self.pairings)}")
         rank = self.rank
         if rank.denominator != 1 or rank < 1:
-            raise ValueError(f"rank sum(-1)^s P_s/s! must be a positive integer, got {rank}")
+            raise InputError("pairings",
+                             f"rank sum(-1)^s P_s/s! must be a positive integer, got {rank}")
         for (i, s), form in kappa_forms.items():
             if not (1 <= i <= q and 0 <= s <= n - i):
                 raise ValueError(f"kappa index {(i, s)} out of range")
@@ -198,9 +203,7 @@ class AcyclicData(Record):
                 raise ValueError("rank mismatch in kappa form")
             if any(k != 2 * i for k in form.degrees()):
                 raise ValueError("graded degree error")
-        # antisymmetry of h is re-checked by theta_form at evaluation time
-        if len(self.h) != 2 * q or any(len(row) != 2 * q for row in self.h):
-            raise ValueError("h must be 2q x 2q")
+        theta_form(q, self.h)
 
     @property
     def rank(self) -> Fraction:

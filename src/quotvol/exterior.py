@@ -2,7 +2,7 @@
 
 A form is stored sparsely as a map from strictly increasing index tuples
 ``I`` inside ``{1, ..., 2q}`` to ``Fraction`` coefficients.  Mixed-degree
-forms are allowed; the graded pieces are recovered with ``component``.
+forms are allowed; ``degrees`` lists the degrees present.
 Evaluation against the standard basis is the coefficient of the full tuple
 ``(1, ..., 2q)``, so all pairing data must be expressed in a basis compatible
 with the complex orientation.
@@ -24,11 +24,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import _as_fraction
+from .scalars import InputError, _as_fraction
 
 __all__ = [
     "AltForm",
-    "exp_even",
     "exp_graded",
     "evaluate_top",
     "top_pairing",
@@ -100,10 +99,6 @@ class AltForm:
 
     def degrees(self) -> set[int]:
         return {len(k) for k in self.terms}
-
-    def component(self, k: int) -> AltForm:
-        """The degree-k graded piece."""
-        return AltForm(self.q, {key: v for key, v in self.terms.items() if len(key) == k})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -196,22 +191,6 @@ def exp_graded(q: int, pieces: Sequence[AltForm], top: int) -> list[AltForm]:
     return out + [AltForm.zero(q) for _ in range(q + 1, top + 1)]
 
 
-def exp_even(a: AltForm) -> AltForm:
-    """``sum a^k / k!`` for a form built from even components of degree >= 2.
-
-    The sum terminates at wedge degree 2q.
-    """
-    for k in a.degrees():
-        if k % 2:
-            raise ValueError("exponential requires even form")
-        if k == 0:
-            raise ValueError("exponential of non-nilpotent form")
-    result = AltForm(a.q)
-    for piece in exp_graded(a.q, [a.component(2 * i) for i in range(1, a.q + 1)], a.q):
-        result.terms.update(piece.terms)  # distinct degrees: keys are disjoint
-    return result
-
-
 def evaluate_top(a: AltForm):
     """Value of the top-degree component on the basis (1, ..., 2q)."""
     return a.terms.get(tuple(range(1, 2 * a.q + 1)), Fraction(0))
@@ -236,18 +215,23 @@ def top_pairing(a: AltForm, b: AltForm) -> Fraction:
 
 def theta_form(q: int, h: Sequence[Sequence[Fraction | int]]) -> AltForm:
     """The degree-2 form ``sum_{i<j} h[i][j] lambda_i ^ lambda_j`` from an
-    antisymmetric 2q x 2q pairing matrix."""
+    antisymmetric 2q x 2q pairing matrix.
+
+    A wrong shape or a failed antisymmetry raises ``InputError`` naming the
+    first bad row or cell in row-major order, the diagonal included."""
     n = 2 * q
-    if len(h) != n or any(len(row) != n for row in h):
-        raise ValueError("pairing matrix must be 2q x 2q")
-    for i in range(n):
-        for j in range(n):
-            if Fraction(h[i][j]) != -Fraction(h[j][i]):
-                raise ValueError("pairing matrix must be antisymmetric")
+    if len(h) != n:
+        raise InputError("h", f"h must be 2q x 2q, expected {n} rows, got {len(h)}")
+    for i, row in enumerate(h):
+        if len(row) != n:
+            raise InputError(f"h[{i}]", f"h must be 2q x 2q, expected {n} entries, got {len(row)}")
     terms = {}
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in range(i, n):
             c = Fraction(h[i][j])
+            if c != -Fraction(h[j][i]):
+                raise InputError(f"h[{i}][{j}]",
+                                 f"h must be antisymmetric, but h[{j}][{i}] = {h[j][i]}")
             if c:
                 terms[(i + 1, j + 1)] = c
     return AltForm(q, terms)

@@ -12,6 +12,7 @@ embedding to exist.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from fractions import Fraction
 
@@ -29,12 +30,13 @@ class EmbeddingParams(Record):
     __slots__ = ("n", "s", "ambient")
 
     def __init__(self, n: int, s: int, ambient: int):
-        super().__init__(n, s, ambient)
+        super().__init__(operator.index(n), operator.index(s), operator.index(ambient))
 
 
 def embedding_params(p: QuotProblem, n: int) -> EmbeddingParams:
     """s = deg(E) + r (n - g + 1) with deg(E) = l - d; the ambient space is
     P(Lambda^s V) for V the twisted sections of the big bundle."""
+    n = operator.index(n)
     s = (p.l_total - p.d) + p.r * (n - p.g + 1)
     if s <= 0:
         warnings.warn(
@@ -57,6 +59,7 @@ def grothendieck_degree(p: QuotProblem, n: int, volume: TPoly | None = None) -> 
     (a warning is issued).  A non-integer result means the inputs are
     inconsistent or the pipeline is broken, so it raises.
     """
+    n = operator.index(n)
     if n < p.g + p.d:
         warnings.warn(
             f"twist n={n} below the embedding heuristic g + d = {p.g + p.d}; "

@@ -24,7 +24,8 @@ All values are immutable after construction and all operations are pure, so
 instances may be shared freely across threads.
 
 ``Record`` is the base of the package's parameter records (``QuotProblem``
-and the like); it lives here because every module imports this one.
+and the like), and ``InputError`` the error their checks raise when a value
+names a field; both live here because every module imports this one.
 """
 
 from __future__ import annotations
@@ -96,6 +97,14 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+class InputError(ValueError):
+    """Invalid input; carries a pointer to the offending field."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(f"at {field_name!r}: {message}")
+        self.field_name = field_name
 
 
 def _as_fraction(value) -> Fraction:

@@ -220,7 +220,13 @@ def test_render_helpers():
 def test_parse_fraction_and_jobspec_errors():
     assert parse_fraction("7/3", "x") == Fraction(7, 3)
     assert parse_fraction(4, "x") == Fraction(4)
+    assert parse_fraction("-12", "x") == Fraction(-12)
     from quotvol.cli import InputError
+
+    for literal in ("1e3", "0.5", "1e999999999", " 1/2", "1/-2"):
+        with pytest.raises(InputError) as info:
+            parse_fraction(literal, "x")
+        assert info.value.field_name == "x"
 
     with pytest.raises(InputError, match="t.value"):
         parse_jobspec({"command": "quot-volume", "g": 0, "r": 1, "l": [0], "d": 0,
@@ -341,3 +347,13 @@ def test_bad_acyclic_input_exits_2(change):
     proc = run_cli(["acyclic-volume"], json.dumps({**ACYCLIC, **change}))
     assert proc.returncode == 2, proc.stderr
     assert "input error at" in proc.stderr
+
+
+def test_huge_q_acyclic_input_exits_2_quickly():
+    """q = 10**9 with one kappa form: the completeness check over (i, s) must
+    not walk every i <= q before the 2 x 2 h is refused."""
+    doc = {**ACYCLIC, "q": 10**9}
+    proc = subprocess.run([sys.executable, "-m", "quotvol.cli", "acyclic-volume"],
+                          input=json.dumps(doc), capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "input error at 'h'" in proc.stderr

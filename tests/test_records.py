@@ -18,14 +18,14 @@ import pytest
 from quotvol.abelian import AcyclicData, CurveQuotProblem
 from quotvol.cli import JobSpec
 from quotvol.exterior import AltForm
-from quotvol.grothendieck import EmbeddingParams
+from quotvol.grothendieck import EmbeddingParams, embedding_params, grothendieck_degree
 from quotvol.localization import (
     Composition,
     QuotProblem,
     WeightIndependenceReport,
     WeightVector,
 )
-from quotvol.scalars import TPoly
+from quotvol.scalars import InputError, TPoly
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -163,10 +163,34 @@ def test_acyclic_data_is_unhashable():
     (lambda: AcyclicData(1, 1, 2, (1, 0), H, {(1, 0): AltForm(1, {(1,): 1})}),
      "graded degree error"),
     (lambda: AcyclicData(1, 1, 2, (1, 0), ((0, 1),)), "h must be 2q x 2q"),
+    (lambda: AcyclicData(1, 1, 2, (1, 0), ((0, 1), (1, 0))), "antisymmetric"),
 ])
 def test_constructor_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build, field_name", [
+    (lambda: AcyclicData(1, 1, 2, (1, 0), ((0, 1), (1, 0))), "h[0][1]"),
+    (lambda: AcyclicData(1, 1, 2, (1, 0), ((0, 1), (-1,))), "h[1]"),
+    (lambda: AcyclicData(1, 1, 2, (1, 0), ((1, 1), (-1, 0))), "h[0][0]"),
+    (lambda: AcyclicData(1, 1, 2, (1, 0), ((0, 1),)), "h"),
+    (lambda: AcyclicData(1, 1, 2, (1,), H), "pairings"),
+    (lambda: AcyclicData(1, 1, 2, (Fraction(1, 2), 0), H), "pairings"),
+])
+def test_acyclic_data_errors_name_the_field(build, field_name):
+    with pytest.raises(InputError) as info:
+        build()
+    assert info.value.field_name == field_name
+
+
+def test_input_error_is_one_value_error_class():
+    import quotvol
+    import quotvol.cli
+
+    assert quotvol.cli.InputError is InputError
+    assert issubclass(InputError, ValueError)
+    assert "InputError" not in quotvol.__all__
 
 
 @pytest.mark.parametrize("build", [
@@ -187,6 +211,11 @@ def test_constructor_errors(build, message):
     lambda: AcyclicData(1, 1, 2.5, (1, 0), H),
     lambda: AcyclicData(1, 1, 2, (1.0, 0), H),
     lambda: AcyclicData(1, 1, 2, (1, 0), ((0, 0.5), (-1, 0))),
+    lambda: grothendieck_degree(QuotProblem(1, 2, (0, 0), 1), 1.5),
+    lambda: embedding_params(QuotProblem(1, 2, (0, 0), 1), 1.5),
+    lambda: EmbeddingParams(1.5, "x", None),
+    lambda: EmbeddingParams(1, 2.0, 3),
+    lambda: EmbeddingParams(1, 2, "3"),
 ])
 def test_constructors_refuse_inexact_numbers(build):
     """A float or a string is refused, not truncated or parsed."""
