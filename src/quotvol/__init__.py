@@ -1,25 +1,28 @@
 """Exact volumes of Quot spaces on a compact Riemann surface.
 
 The library computes normalized volumes (polynomials in the stability
-variable, over exact rationals) three ways:
+variable, over exact rationals) four ways:
 
 * ``symmetric_power_volume`` -- rank-1 kernels on a curve, via the classical
   intersection numbers on symmetric powers;
 * ``acyclic_volume`` -- rank-1 kernels over an n-dimensional base whenever
   the pair is acyclic, via exterior-algebra pairing data;
 * ``quot_volume`` -- full-rank subsheaves of a split bundle on a curve, via
-  torus fixed-point localization.
+  torus fixed-point localization;
+* ``closed_volume`` -- the same volumes as one coefficient of the q-series
+  ``A_r^(g-1) B_r^(|l| + r ttilde)``, whose logarithms are rational.
 
 ``grothendieck_degree`` turns volumes into degrees of projective embeddings.
 The ``quotvol`` command line exposes all of it on JSON job documents.
 """
 
-from . import abelian, exterior, grothendieck, localization, scalars
+from . import abelian, closed, exterior, grothendieck, localization, scalars
 from .scalars import *
 from .exterior import *
 from .abelian import *
 from .localization import *
 from .grothendieck import *
+from .closed import *
 
 __version__ = "0.1.0"
 
@@ -29,4 +32,5 @@ __all__ = [
     *abelian.__all__,
     *localization.__all__,
     *grothendieck.__all__,
+    *closed.__all__,
 ]

@@ -207,11 +207,18 @@ class AcyclicData(Record):
 
     @property
     def rank(self) -> Fraction:
-        """chi of the twisted sections bundle: sum (-1)^s pairings[s]/s!."""
-        return sum(
-            (Fraction((-1) ** s) * p / math.factorial(s) for s, p in enumerate(self.pairings)),
-            Fraction(0),
-        )
+        """chi of the twisted sections bundle: sum (-1)^s pairings[s]/s!.
+
+        Summed in integers as sum (-1)^s a_s n!/s!, a_s = pairings[s] times
+        the common denominator D of the pairings, and divided by D n! once."""
+        den = math.lcm(*(p.denominator for p in self.pairings))
+        total, weight = 0, 1  # weight = n!/s!
+        for s in range(self.n, -1, -1):
+            p = self.pairings[s]
+            if p:
+                total += (-1) ** s * weight * (p.numerator * (den // p.denominator))
+            weight *= s
+        return Fraction(total, den * math.factorial(self.n))
 
     @property
     def dimension(self) -> int:

@@ -27,6 +27,7 @@ from .abelian import (
     acyclic_volume,
     symmetric_power_volume,
 )
+from .closed import closed_volume
 from .exterior import AltForm
 from .grothendieck import grothendieck_degree
 from .localization import (
@@ -395,12 +396,16 @@ def _emit_volume(out: dict, spec: JobSpec, volume: TPoly, **extra) -> dict:
 
 
 def run_job(spec: JobSpec) -> dict:
-    """Execute one job that ``parse_jobspec`` accepted; return the result document."""
+    """Execute one job that ``parse_jobspec`` accepted; return the result document.
+
+    Volumes come from the closed form, except where the job names torus
+    weights (a weighted ``quot-volume``, ``verify``): those are inputs of the
+    localization engine, which then runs."""
     problem = spec.problem
     result = {"schema": SCHEMA_VERSION, "input": spec.echo}
     if spec.command == "sweep":
         result["rows"] = [
-            _emit_volume({"g": p.g, "r": p.r, "d": p.d, "l": list(p.l)}, spec, quot_volume(p))
+            _emit_volume({"g": p.g, "r": p.r, "d": p.d, "l": list(p.l)}, spec, closed_volume(p))
             for p in problem
         ]
     elif spec.command == "abelian-volume":
@@ -415,10 +420,10 @@ def run_job(spec: JobSpec) -> dict:
         volume = acyclic_volume(problem)
         _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.dimension, problem.n))
     elif spec.command == "quot-volume":
-        volume = quot_volume(problem, spec.weights[0] if spec.weights else None)
+        volume = quot_volume(problem, spec.weights[0]) if spec.weights else closed_volume(problem)
         _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.r * problem.d))
     elif spec.command == "grothendieck-degree":
-        volume = quot_volume(problem)
+        volume = closed_volume(problem)
         _emit_volume(result, spec, volume, degree=grothendieck_degree(problem, spec.n, volume))
     else:  # verify
         report = verify_weight_independence(problem, spec.weights)

@@ -363,8 +363,12 @@ def _reduced_composition(p: QuotProblem, c: Composition, w: WeightVector) -> tup
 
 
 def quot_volume(p: QuotProblem, w: WeightVector | None = None) -> TPoly:
-    """Normalized volume of the Quot space as a polynomial of degree <= rd
-    in the stability variable (units of (4 pi^2)^(rd))."""
+    """Normalized volume of the Quot space as a polynomial in the stability
+    variable (units of (4 pi^2)^(rd)).
+
+    Its degree is exactly d, with leading coefficient 1/((r-1)!^d d!).
+    ``closed_volume`` has that leading term by construction; here the tests
+    check it."""
     if w is None:
         w = default_weights(p.r)
     if len(w.w) != p.r:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -209,6 +210,30 @@ def test_curve_acyclic_data_rank():
     assert data.q == 0 and not data.kappa_forms
     data = curve_data(1, 2, 9, 0)
     assert data.kappa_forms[(1, 0)] == standard_symplectic_form(1) * 2
+
+
+def test_rank_matches_the_factorial_sum():
+    rng = random.Random(7)
+    for n in range(1, 9):
+        for _ in range(5):
+            pairings = [Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(n)]
+            # pick pairings[0] so that the rank is a positive integer
+            rest = sum(Fraction((-1) ** s) * p / math.factorial(s)
+                       for s, p in enumerate(pairings, 1))
+            pairings.insert(0, rng.randint(1, 9) - rest)
+            data = AcyclicData(n=n, q=0, deg_E=0, pairings=pairings, h=())
+            expected = sum(Fraction((-1) ** s) * p / math.factorial(s)
+                           for s, p in enumerate(pairings))
+            assert data.rank == expected
+
+
+def test_rank_is_fast_at_large_base_dimension():
+    # rank is evaluated three times here.  In integers this takes about 0.1 s;
+    # a Fraction sum over the growing denominators s! takes about a minute.
+    started = time.perf_counter()
+    data = AcyclicData(n=10000, q=0, deg_E=0, pairings=[1] + [0] * 10000, h=())
+    assert (data.rank, data.dimension) == (1, 0)
+    assert time.perf_counter() - started < 10.0
 
 
 def test_curve_acyclic_data_warns_outside_range():

@@ -321,23 +321,28 @@ def test_domain_bounds_name_the_field(doc, field_name):
 
 
 def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):
+    """One volume per job, from the closed form; the localization engine,
+    which ``grothendieck_degree`` falls back on, never runs."""
     import quotvol.cli as cli
     import quotvol.grothendieck as grothendieck
 
     calls = []
-    original = cli.quot_volume
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def count(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return count
 
-    monkeypatch.setattr(cli, "quot_volume", counting)
-    monkeypatch.setattr(grothendieck, "quot_volume", counting)
+    monkeypatch.setattr(cli, "closed_volume", counting("closed", cli.closed_volume))
+    monkeypatch.setattr(cli, "quot_volume", counting("localization", cli.quot_volume))
+    monkeypatch.setattr(grothendieck, "quot_volume",
+                        counting("localization", grothendieck.quot_volume))
     spec = parse_jobspec({"command": "grothendieck-degree", "g": 0, "r": 2, "l": [0, 0],
                           "d": 1, "n": 4})
     result = run_job(spec)
     assert result["degree"] == 8
-    assert len(calls) == 1
+    assert calls == ["closed"]
 
 
 @pytest.mark.parametrize("change", [{"q": 1, "h": [[0]]}, {"pairings": ["1/2", "0/1"]},
@@ -357,3 +362,17 @@ def test_huge_q_acyclic_input_exits_2_quickly():
                           input=json.dumps(doc), capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2, proc.stderr
     assert "input error at 'h'" in proc.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "sweep", "r": 3, "g": 2, "l": [1, -1, 0], "d_values": [0, 1, 2, 3]},
+    {"command": "sweep", "r": 2, "g": 0, "d": 3, "l_partitions": [[3, -1], [1, 1], [0, 2]]},
+])
+def test_sweep_rows_equal_weighted_quot_volume_jobs(doc):
+    # rows run the closed form; a job that names weights runs localization
+    rows = run_job(parse_jobspec(doc))["rows"]
+    assert rows
+    for row in rows:
+        single = {"command": "quot-volume", "g": row["g"], "r": row["r"], "l": row["l"],
+                  "d": row["d"], "weights": [list(range(1, row["r"] + 1))]}
+        assert row["volume"] == run_job(parse_jobspec(single))["volume"]

@@ -2,9 +2,9 @@
 and in module order, as the very objects the modules define."""
 
 import quotvol
-from quotvol import abelian, exterior, grothendieck, localization, scalars
+from quotvol import abelian, closed, exterior, grothendieck, localization, scalars
 
-MODULES = (scalars, exterior, abelian, localization, grothendieck)
+MODULES = (scalars, exterior, abelian, localization, grothendieck, closed)
 
 
 def test_package_all_concatenates_the_module_lists():
