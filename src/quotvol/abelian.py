@@ -29,7 +29,7 @@ from .exterior import (
     standard_symplectic_form,
     standard_symplectic_matrix,
     theta_form,
-    top_pairing,
+    top_exp_poly,
 )
 from .scalars import InputError, Record, TPoly, _as_fraction, falling_factorial
 
@@ -247,18 +247,20 @@ def acyclic_volume(data: AcyclicData) -> TPoly:
     v = (1/N!) sum_k C(N,k) (deg_E + ttilde)^(N-k) <theta^k s_(q-k)> where
     the bracket is top evaluation on the rank-2q lattice; only theta
     exponents k <= q contribute.  Units of (4 pi^2)^N.
+
+    Even forms commute, so sum_k t^k/k! <theta^k s_(q-k)> is the top
+    evaluation of exp(t theta) ^ s = exp(t theta + f_1 + f_2 + ...) with
+    f_i = (-1)^i ch_i / i, which ``top_exp_poly`` computes as one polynomial
+    in t: <theta^k s_(q-k)> = k! [t^k].
     """
     q = data.q
     N = data.dimension
-    theta = theta_form(q, data.h)
-    segre = segre_from_ch(ch_of_V(data), q)
+    pieces = [form * Fraction((-1) ** i, i) for i, form in enumerate(ch_of_V(data), 1)]
+    top = top_exp_poly(theta_form(q, data.h), pieces)
     base = TPoly((data.deg_E, 1))
     total = TPoly()
-    theta_k = AltForm.one(q)
     for k in range(min(q, N) + 1):
-        if k:
-            theta_k = theta_k.wedge(theta)
-        pairing = top_pairing(theta_k, segre[q - k])
+        pairing = math.factorial(k) * top[k]
         if pairing:
             total = total + base ** (N - k) * (math.comb(N, k) * pairing)
     return total * Fraction(1, math.factorial(N))

@@ -181,6 +181,8 @@ def _parse_weights(doc: dict, command: str, r: int | None) -> tuple[WeightVector
     ws = doc.get("weights")
     if ws is None:
         return None
+    if command not in ("quot-volume", "verify"):
+        raise InputError("weights", f"{command} takes no torus weights")
     if not isinstance(ws, list) or not all(isinstance(v, list) for v in ws):
         raise InputError("weights", "expected a list of weight vectors")
     parsed = []

@@ -5,7 +5,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quotvol.abelian import (
@@ -20,7 +20,13 @@ from quotvol.abelian import (
     segre_from_ch,
     symmetric_power_volume,
 )
-from quotvol.exterior import AltForm, standard_symplectic_form, standard_symplectic_matrix
+from quotvol.exterior import (
+    AltForm,
+    standard_symplectic_form,
+    standard_symplectic_matrix,
+    theta_form,
+    top_pairing,
+)
 from quotvol.scalars import TPoly, falling_factorial
 
 import random
@@ -366,3 +372,86 @@ def test_acyclic_volume_invariant_under_even_permutation(q, n_dim, seed, draw):
     if odd(perm):
         perm[0], perm[1] = perm[1], perm[0]
     assert acyclic_volume(push_forward(data, perm)) == acyclic_volume(data)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the term-by-term projective-bundle formula
+
+def theta_segre_volume(data):
+    """The projective-bundle formula term by term: theta^k by repeated
+    wedges, the Segre classes from ``segre_from_ch`` and each bracket
+    <theta^k s_(q-k)> from ``top_pairing``."""
+    q, N = data.q, data.dimension
+    theta = theta_form(q, data.h)
+    segre = segre_from_ch(ch_of_V(data), q)
+    base = TPoly((data.deg_E, 1))
+    total, theta_k = TPoly(), AltForm.one(q)
+    for k in range(q + 1):
+        if k:
+            theta_k = theta_k.wedge(theta)
+        total = total + base ** (N - k) * (math.comb(N, k) * top_pairing(theta_k, segre[q - k]))
+    return total * Fraction(1, math.factorial(N))
+
+
+def with_h(data, h):
+    return AcyclicData(n=data.n, q=data.q, deg_E=data.deg_E, pairings=data.pairings,
+                       h=tuple(map(tuple, h)), kappa_forms=data.kappa_forms)
+
+
+def singular_h(rng, q):
+    """u v^T - v u^T: antisymmetric of rank at most 2, so singular for q >= 2."""
+    u = [rng.randint(-3, 3) for _ in range(2 * q)]
+    v = [rng.randint(-3, 3) for _ in range(2 * q)]
+    return [[u[i] * v[j] - v[i] * u[j] for j in range(2 * q)] for i in range(2 * q)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 4), st.integers(1, 3), st.integers(0, 2 ** 32),
+       st.sampled_from(("dense", "zero", "singular")))
+@example(0, 1, 0, "dense")
+@example(3, 2, 1, "zero")
+@example(4, 3, 2, "singular")
+def test_acyclic_volume_matches_theta_segre_formula(q, n_dim, seed, h_kind):
+    rng = random.Random(seed)
+    data = dense_acyclic_data(rng, q, n_dim)
+    if h_kind == "zero":
+        data = with_h(data, [[0] * (2 * q) for _ in range(2 * q)])
+    elif h_kind == "singular":
+        data = with_h(data, singular_h(rng, q))
+    assert acyclic_volume(data) == theta_segre_volume(data)
+
+
+def test_acyclic_volume_with_forty_digit_entries():
+    # numerators and denominators of about 40 digits, both signs: the packed
+    # t-coefficients grow far past any machine word and still decode exactly
+    rng = random.Random(7)
+
+    def big():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(10 ** 39, 10 ** 40),
+                        rng.randrange(10 ** 39, 10 ** 40))
+
+    for q, n_dim in ((1, 1), (2, 2), (3, 3)):
+        size = 2 * q
+        h = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                h[i][j] = big()
+                h[j][i] = -h[i][j]
+        kappa = {(i, s): AltForm(q, {key: big() for key in
+                                     itertools.combinations(range(1, size + 1), 2 * i)})
+                 for i in range(1, q + 1) for s in range(n_dim - i + 1)}
+        pairings = (Fraction(2),) + (Fraction(0),) * n_dim
+        data = AcyclicData(n=n_dim, q=q, deg_E=big(), pairings=pairings, h=tuple(map(tuple, h)),
+                           kappa_forms=kappa)
+        assert acyclic_volume(data) == theta_segre_volume(data)
+
+
+def test_dense_q6_volume_pinned():
+    # recorded from the theta-power/Segre kernel this one replaced
+    data = dense_acyclic_data(random.Random(0), q=6, n_dim=2)
+    assert (data.rank, data.dimension) == (2, 7)
+    assert acyclic_volume(data) == TPoly(tuple(map(Fraction, (
+        "-534237461023/5898240", "650957150179/2949120", "-22838767467/163840",
+        "5557025851/147456", "-415509289/73728", "15132081/20480", "-8216977/92160",
+        "1573483/322560",
+    ))))

@@ -21,6 +21,9 @@ VERIFY = {**QV, "command": "verify"}
         ({**QV, "weights": [[0, 1, 2]]}, "weights[0]"),
         ({**VERIFY, "weights": [[0, 1]]}, "weights"),
         ({**VERIFY, "weights": [[0, 1], [1, 2, 3]]}, "weights[1]"),
+        # only quot-volume and verify run the torus-weighted engine
+        ({**QV, "command": "grothendieck-degree", "n": 4, "weights": [[5, 7, 9]]}, "weights"),
+        ({**QV, "command": "sweep", "weights": [[0, 1]]}, "weights"),
     ],
 )
 def test_weight_vectors_are_checked_by_parse_jobspec(doc, field_name):

@@ -15,6 +15,7 @@ from quotvol.exterior import (
     standard_symplectic_form,
     standard_symplectic_matrix,
     theta_form,
+    top_exp_poly,
     top_pairing,
 )
 
@@ -234,3 +235,22 @@ def test_exp_even_matches_power_series(a):
 def test_top_pairing_rank_mismatch():
     with pytest.raises(ValueError, match="rank mismatch"):
         top_pairing(AltForm.one(1), AltForm.one(2))
+
+
+@PROPERTY
+@given(st.integers(0, 3).flatmap(
+    lambda q: st.tuples(forms(q, (2,)), forms(q, (2,)), forms(q, (4,)), forms(q, (6,)))))
+def test_top_exp_poly_matches_exp_at_points(forms_):
+    # a polynomial of degree <= q is fixed by its values at q + 2 points
+    theta, *pieces = forms_
+    q = theta.q
+    coeffs = top_exp_poly(theta, pieces)
+    assert len(coeffs) == q + 1
+    for t in range(-1, q + 1):
+        want = evaluate_top(exp_sum(functools.reduce(AltForm.__add__, pieces, theta * t)))
+        assert sum(c * t ** k for k, c in enumerate(coeffs)) == want
+
+
+def test_top_exp_poly_rank_mismatch():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        top_exp_poly(AltForm(2), [AltForm(1)])
