@@ -196,16 +196,18 @@ def _parse_weights(doc: dict, command: str, r: int | None) -> tuple[WeightVector
         raise InputError("weights", "quot-volume takes a single weight vector")
     if command == "verify" and len(parsed) == 1:
         raise InputError("weights", "verify needs at least two weight vectors")
-    if command in ("quot-volume", "verify"):
-        for vi, w in enumerate(parsed):
-            if len(w.w) != r:
-                raise InputError(f"weights[{vi}]", f"expected {r} weights")
+    for vi, w in enumerate(parsed):
+        if len(w.w) != r:
+            raise InputError(f"weights[{vi}]", f"expected {r} weights")
     return tuple(parsed)
 
 
 def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
     """Three deterministic candidates: 1..r, the first r primes, and a seeded
     pseudo-random distinct rational vector."""
+    # the seeded draw a/b, |a| <= 60, 1 <= b <= 12, has only 899 distinct values
+    if r >= 900:
+        raise InputError("weights", "r >= 900 needs explicit weights for verify")
     primes = []
     k = 2
     while len(primes) < r:

@@ -30,7 +30,6 @@ __all__ = [
     "AltForm",
     "exp_graded",
     "evaluate_top",
-    "top_pairing",
     "top_exp_poly",
     "theta_form",
     "standard_symplectic_matrix",
@@ -239,15 +238,6 @@ def exp_graded(q: int, pieces: Sequence[AltForm], top: int) -> list[AltForm]:
 def evaluate_top(a: AltForm):
     """Value of the top-degree component on the basis (1, ..., 2q)."""
     return a.terms.get(tuple(range(1, 2 * a.q + 1)), Fraction(0))
-
-
-def top_pairing(a: AltForm, b: AltForm) -> Fraction:
-    """``evaluate_top(a.wedge(b))`` without forming the wedge: each key of
-    ``a`` meets only its complement in ``b``."""
-    if a.q != b.q:
-        raise ValueError("rank mismatch")
-    (ia, da), (ib, db) = _ints(a), _ints(b)
-    return Fraction(_top_int(ia, ib, 2 * a.q), da * db)
 
 
 def top_exp_poly(theta: AltForm, pieces: Sequence[AltForm]) -> list[Fraction]:

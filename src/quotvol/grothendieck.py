@@ -51,8 +51,8 @@ def embedding_params(p: QuotProblem, n: int) -> EmbeddingParams:
 def grothendieck_degree(p: QuotProblem, n: int, volume: TPoly | None = None) -> int:
     """(rd)! times the normalized volume at ttilde = n - g + 1.
 
-    ``volume`` is ``quot_volume(p)`` when the caller already has it; it is
-    computed here otherwise.
+    ``volume`` is the volume of ``p`` when the caller already has it (the CLI
+    passes ``closed_volume(p)``); ``quot_volume(p)`` is computed otherwise.
 
     The value is computed for any twist; below the ``n >= g + d`` heuristic
     the embedding is not guaranteed and the result is only the formula value

@@ -36,9 +36,9 @@ unless that exponent is 0.
 
 ``integrand`` and ``evaluate_composition`` keep the unreduced pipeline: a
 series in variable pairs ``(x_i, y_i)`` and ``u``, with the power of ``u`` as
-one more, signed, key exponent; its exact multi-degree part must sit at
-``u^0`` and is weighted by falling factorials.  They serve as an independent
-oracle for the reduced engine and are not in ``__all__``.
+one more, signed, key exponent; each monomial of exact multi-degree passes
+``_u_concentrated`` and is weighted by falling factorials.  They serve as an
+independent oracle for the reduced engine and are not in ``__all__``.
 
 The result is independent of the (pairwise distinct) torus weights; that
 freedom is kept as an end-to-end consistency check.
@@ -203,11 +203,10 @@ def integrand(p: QuotProblem, c: Composition, w: WeightVector) -> TruncSeries:
 
 
 def _u_concentrated(value: ULaurent) -> TPoly:
-    """Extract the u^0 part, insisting nothing lives at other u-degrees."""
-    # ULaurent windows are trimmed, so a nonzero value has nonzero ends.
-    if value and (value.low != 0 or value.high != 0):
+    """The u^0 part of a monomial, insisting nothing lives at other u-degrees."""
+    if value.exponent and value.coeff:
         raise ArithmeticError("nonzero u-degree in top coefficient")
-    return value.coefficient(0)
+    return value.coeff
 
 
 def evaluate_composition(p: QuotProblem, c: Composition, w: WeightVector) -> TPoly:
@@ -224,8 +223,7 @@ def evaluate_composition(p: QuotProblem, c: Composition, w: WeightVector) -> TPo
     for key, value in f.terms.items():
         if any(key[2 * i] + key[2 * i + 1] != parts[i] for i in range(p.r)):
             continue
-        if key[-1]:
-            raise ArithmeticError("nonzero u-degree in top coefficient")
+        value = _u_concentrated(ULaurent.monomial(value, key[-1]))
         weight = Fraction(1)
         for i in range(p.r):
             weight *= falling_factorial(p.g, key[2 * i + 1])

@@ -13,8 +13,8 @@ no floating point anywhere):
   and ``series_exp`` terminate.  The power of ``u`` is one more exponent,
   signed and never truncated: negative powers produced by binomial
   expansions cancel only once the ``u^0`` part is extracted at the very end.
-* ``ULaurent`` -- a Laurent polynomial in ``u`` over ``TPoly``, with no
-  arithmetic: the value the ``u^0`` guard of ``quot_volume`` reads.
+* ``ULaurent`` -- one monomial ``coeff * u^exponent`` over ``TPoly``, with
+  no arithmetic: the value the ``u^0`` guard of ``quot_volume`` reads.
 
 ``quot_volume`` computes with ``TPoly`` alone; ``TruncSeries`` carries the
 unreduced localization pipeline that tests keep as its oracle.  Only
@@ -256,48 +256,18 @@ class TPoly:
         return f"TPoly('{self._plain()}')"
 
 
-class ULaurent:
-    """Laurent polynomial in the equivariant variable ``u`` over ``TPoly``:
-    the value the ``u^0`` guard reads.
+class ULaurent(Record):
+    """The monomial ``coeff * u^exponent``, with ``coeff`` over ``TPoly``: the
+    value the ``u^0`` guard of ``quot_volume`` reads."""
 
-    Stored as a finite window ``coeffs[j]`` = coefficient of
-    ``u^(low + j)``, with zero coefficients trimmed at both ends.
-    """
+    __slots__ = ("exponent", "coeff")
 
-    __slots__ = ("low", "coeffs")
-
-    def __init__(self, low: int = 0, coeffs: Iterable[TPoly | Fraction | int] = ()):
-        cs = [c if isinstance(c, TPoly) else TPoly((c,)) for c in coeffs]
-        start = 0
-        while start < len(cs) and not cs[start]:
-            start += 1
-        end = len(cs)
-        while end > start and not cs[end - 1]:
-            end -= 1
-        if start == end:
-            self.low = 0
-            self.coeffs = ()
-        else:
-            self.low = low + start
-            self.coeffs = tuple(cs[start:end])
+    def __init__(self, exponent: int, coeff: TPoly | Fraction | int):
+        super().__init__(exponent, coeff if isinstance(coeff, TPoly) else TPoly((coeff,)))
 
     @classmethod
     def monomial(cls, coeff, exponent: int) -> ULaurent:
-        return cls(exponent, (coeff,))
-
-    @property
-    def high(self) -> int:
-        """Largest exponent with a (possibly zero) stored coefficient."""
-        return self.low + len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> TPoly:
-        j = k - self.low
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return TPoly()
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return cls(exponent, coeff)
 
 
 class TruncSeries:

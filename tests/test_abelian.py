@@ -22,10 +22,10 @@ from quotvol.abelian import (
 )
 from quotvol.exterior import (
     AltForm,
+    evaluate_top,
     standard_symplectic_form,
     standard_symplectic_matrix,
     theta_form,
-    top_pairing,
 )
 from quotvol.scalars import TPoly, falling_factorial
 
@@ -380,7 +380,7 @@ def test_acyclic_volume_invariant_under_even_permutation(q, n_dim, seed, draw):
 def theta_segre_volume(data):
     """The projective-bundle formula term by term: theta^k by repeated
     wedges, the Segre classes from ``segre_from_ch`` and each bracket
-    <theta^k s_(q-k)> from ``top_pairing``."""
+    <theta^k s_(q-k)> as the top of one more wedge."""
     q, N = data.q, data.dimension
     theta = theta_form(q, data.h)
     segre = segre_from_ch(ch_of_V(data), q)
@@ -389,7 +389,7 @@ def theta_segre_volume(data):
     for k in range(q + 1):
         if k:
             theta_k = theta_k.wedge(theta)
-        total = total + base ** (N - k) * (math.comb(N, k) * top_pairing(theta_k, segre[q - k]))
+        total = total + base ** (N - k) * (math.comb(N, k) * evaluate_top(theta_k.wedge(segre[q - k])))
     return total * Fraction(1, math.factorial(N))
 
 

@@ -364,6 +364,16 @@ def test_huge_q_acyclic_input_exits_2_quickly():
     assert "input error at 'h'" in proc.stderr
 
 
+def test_verify_at_r_900_without_weights_exits_2_quickly():
+    """The seeded default candidate draws from 899 distinct rationals, so at
+    r = 900 it could never finish: the job is refused before drawing."""
+    doc = {"command": "verify", "g": 0, "r": 900, "l": [0] * 900, "d": 0}
+    proc = subprocess.run([sys.executable, "-m", "quotvol.cli", "verify"],
+                          input=json.dumps(doc), capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "input error at 'weights'" in proc.stderr
+
+
 @pytest.mark.parametrize("doc", [
     {"command": "sweep", "r": 3, "g": 2, "l": [1, -1, 0], "d_values": [0, 1, 2, 3]},
     {"command": "sweep", "r": 2, "g": 0, "d": 3, "l_partitions": [[3, -1], [1, 1], [0, 2]]},

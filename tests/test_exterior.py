@@ -16,7 +16,6 @@ from quotvol.exterior import (
     standard_symplectic_matrix,
     theta_form,
     top_exp_poly,
-    top_pairing,
 )
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -216,13 +215,6 @@ def test_wedge_matches_naive_oracle(pair):
 
 
 @PROPERTY
-@given(form_pairs())
-def test_top_pairing_is_top_of_wedge(pair):
-    a, b = pair
-    assert top_pairing(a, b) == evaluate_top(a.wedge(b))
-
-
-@PROPERTY
 @given(st.integers(1, 4).flatmap(lambda q: forms(q, (2, 4))))
 def test_exp_even_matches_power_series(a):
     want, power = AltForm.one(a.q), AltForm.one(a.q)
@@ -230,11 +222,6 @@ def test_exp_even_matches_power_series(a):
         power = naive_wedge(power, a)
         want = want + power * Fraction(1, math.factorial(k))
     assert exp_sum(a) == want
-
-
-def test_top_pairing_rank_mismatch():
-    with pytest.raises(ValueError, match="rank mismatch"):
-        top_pairing(AltForm.one(1), AltForm.one(2))
 
 
 @PROPERTY

@@ -83,11 +83,14 @@ def test_integrand_first_order_fixture():
 
 def test_u_concentration_guard():
     assert _u_concentrated(ULaurent.monomial(TPoly((1, 2)), 0)) == TPoly((1, 2))
-    assert _u_concentrated(ULaurent()) == TPoly()
-    with pytest.raises(ArithmeticError, match="nonzero u-degree"):
+    assert _u_concentrated(ULaurent.monomial(5, 0)) == TPoly((5,))
+    # a zero coefficient lives at no u-degree, wherever it is placed
+    assert _u_concentrated(ULaurent.monomial(TPoly(), 3)) == TPoly()
+    assert _u_concentrated(ULaurent.monomial(0, -1)) == TPoly()
+    with pytest.raises(ArithmeticError, match="nonzero u-degree in top coefficient"):
         _u_concentrated(ULaurent.monomial(1, 1))
-    with pytest.raises(ArithmeticError, match="nonzero u-degree"):
-        _u_concentrated(ULaurent(-1, (1, 1)))
+    with pytest.raises(ArithmeticError, match="nonzero u-degree in top coefficient"):
+        _u_concentrated(ULaurent.monomial(TPoly((0, 1)), -1))
 
 
 def test_evaluate_composition_refuses_a_top_term_off_u0(monkeypatch):

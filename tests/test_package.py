@@ -28,7 +28,7 @@ def test_series_oracle_is_importable_but_not_exported():
         for name in names:
             assert name not in quotvol.__all__, name
             assert hasattr(module, name), (module.__name__, name)
-    for name in ("u_coefficient", "wedge"):
+    for name in ("u_coefficient", "wedge", "top_pairing"):
         assert name not in quotvol.__all__, name
     # The benchmark tracer patches these module attributes by name.
     assert localization.series_pow_int is scalars.series_pow_int

@@ -8,7 +8,6 @@ import pytest
 from quotvol.scalars import (
     TPoly,
     TruncSeries,
-    ULaurent,
     falling_factorial,
     general_binomial,
     series_exp,
@@ -100,22 +99,6 @@ def test_tpoly_scalar_comparison_and_trim():
     assert TPoly((0, 0, 0)) == TPoly()
     assert not TPoly()
     assert TPoly((0, 1)) != 1
-
-
-# ---------------------------------------------------------------------------
-# ULaurent
-
-def test_u_coefficient_examples():
-    s = ULaurent(-1, (TPoly((3,)), TPoly.variable()))  # 3 u^-1 + t u^0
-    assert s.coefficient(0) == TPoly.variable()
-    assert s.coefficient(-1) == TPoly((3,))
-    assert ULaurent().coefficient(5) == TPoly()
-
-
-def test_ulaurent_trimming():
-    s = ULaurent(-1, (0, 1, 0))  # only the u^0 slot is nonzero
-    assert s.low == 0 and s.high == 0
-    assert not ULaurent(3, (0, 0))
 
 
 # ---------------------------------------------------------------------------
