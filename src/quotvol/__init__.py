@@ -16,9 +16,10 @@ variable, over exact rationals) four ways:
 The ``quotvol`` command line exposes all of it on JSON job documents.
 """
 
-from . import abelian, closed, exterior, grothendieck, localization, scalars
+import importlib
+
+from . import abelian, closed, grothendieck, localization, scalars
 from .scalars import *
-from .exterior import *
 from .abelian import *
 from .localization import *
 from .grothendieck import *
@@ -26,11 +27,24 @@ from .closed import *
 
 __version__ = "0.1.0"
 
+# exterior.__all__, listed here so that importing the package does not load
+# the exterior algebra: only acyclic volumes need it (see ``__getattr__``)
+_EXTERIOR_ALL = ("AltForm", "exp_graded", "evaluate_top", "top_exp_poly", "theta_form",
+                 "standard_symplectic_matrix", "standard_symplectic_form")
+
 __all__ = [
     *scalars.__all__,
-    *exterior.__all__,
+    *_EXTERIOR_ALL,
     *abelian.__all__,
     *localization.__all__,
     *grothendieck.__all__,
     *closed.__all__,
 ]
+
+
+def __getattr__(name: str):
+    """``exterior`` and its names, loaded on first use."""
+    if name == "exterior" or name in _EXTERIOR_ALL:
+        exterior = importlib.import_module(".exterior", __name__)
+        return exterior if name == "exterior" else getattr(exterior, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

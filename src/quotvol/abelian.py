@@ -21,17 +21,12 @@ import math
 import operator
 import warnings
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .exterior import (
-    AltForm,
-    exp_graded,
-    standard_symplectic_form,
-    standard_symplectic_matrix,
-    theta_form,
-    top_exp_poly,
-)
 from .scalars import InputError, Record, TPoly, _as_fraction, falling_factorial
+
+if TYPE_CHECKING:  # imported where used: only acyclic volumes load the exterior algebra
+    from .exterior import AltForm
 
 __all__ = [
     "CurveQuotProblem",
@@ -125,6 +120,7 @@ def manton_nasir_check(g: int, d: int, vol_X: Fraction, pi_stand_in: Fraction) -
 
 def _char_exp(ch: Sequence[AltForm], top_degree: int, sign: int) -> list[AltForm]:
     """Graded pieces of ``exp(sign * sum (-1)^i ch_i / i)`` up to ``top_degree``."""
+    from .exterior import exp_graded
     for idx, form in enumerate(ch):
         if any(k != 2 * (idx + 1) for k in form.degrees()):
             raise ValueError("graded degree error")
@@ -174,6 +170,7 @@ class AcyclicData(Record):
         h: Sequence[Sequence[Fraction | int]],
         kappa_forms: Mapping[tuple[int, int], AltForm] | None = None,
     ):
+        from .exterior import theta_form
         n, q = operator.index(n), operator.index(q)
         if n < 1:
             raise ValueError("base dimension must be positive")
@@ -229,6 +226,7 @@ class AcyclicData(Record):
 def ch_of_V(data: AcyclicData) -> list[AltForm]:
     """Chern character components ch_1, ..., ch_q of the sections bundle:
     ch_i = sum_{s=0}^{n-i} (-1)^(i+s)/s! kappa_(m^s C_(n-i-s))."""
+    from .exterior import AltForm
     out = []
     for i in range(1, data.q + 1):
         ch_i = AltForm.zero(data.q)
@@ -253,6 +251,7 @@ def acyclic_volume(data: AcyclicData) -> TPoly:
     f_i = (-1)^i ch_i / i, which ``top_exp_poly`` computes as one polynomial
     in t: <theta^k s_(q-k)> = k! [t^k].
     """
+    from .exterior import theta_form, top_exp_poly
     q = data.q
     N = data.dimension
     pieces = [form * Fraction((-1) ** i, i) for i, form in enumerate(ch_of_V(data), 1)]
@@ -274,6 +273,7 @@ def curve_acyclic_data(g: int, r0: int, deg_E0: int, m: int) -> AcyclicData:
     still evaluates to the same polynomial, but the projective-bundle
     description is the caller's claim; a warning is issued.
     """
+    from .exterior import standard_symplectic_form, standard_symplectic_matrix
     if r0 < 1:
         raise ValueError("r0 must be positive")
     if not deg_E0 > r0 * m + 2 * r0 * (g - 1):

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 input error, 3 computation error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
@@ -19,7 +18,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .abelian import (
     AcyclicData,
@@ -28,7 +27,6 @@ from .abelian import (
     symmetric_power_volume,
 )
 from .closed import closed_volume
-from .exterior import AltForm
 from .grothendieck import grothendieck_degree
 from .localization import (
     QuotProblem,
@@ -38,6 +36,9 @@ from .localization import (
     verify_weight_independence,
 )
 from .scalars import InputError, Record, TPoly
+
+if TYPE_CHECKING:
+    from .exterior import AltForm
 
 __all__ = ["JobSpec", "InputError", "parse_jobspec", "run_job", "main"]
 
@@ -216,9 +217,11 @@ def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
         k += 1
     rng = random.Random(20201)
     rand: list[Fraction] = []
+    seen: set[Fraction] = set()  # beside the list: a membership test on it is O(r)
     while len(rand) < r:
         cand = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-        if cand not in rand:
+        if cand not in seen:
+            seen.add(cand)
             rand.append(cand)
     return (
         default_weights(r),
@@ -229,6 +232,7 @@ def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
 
 def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
     """One degree-2i form per (i, s) with 1 <= i <= q and 0 <= s <= n_dim - i."""
+    from .exterior import AltForm  # only acyclic jobs load the exterior algebra
     if not isinstance(value, list):
         raise InputError("kappa", "expected a list of {i, s, terms} objects")
     out: dict[tuple[int, int], AltForm] = {}
@@ -486,32 +490,53 @@ def render_result_plain(result: dict) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 
-def _build_argparser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quotvol",
-        description="Exact Quot-space volumes and Grothendieck degrees.",
-    )
-    # argparse reads only plain negative numbers as values; read every token
-    # that starts with '-' and a digit as one, so `--ttilde -1/2` and
-    # `--l -1,1` work.  No option name starts that way.
-    parser._negative_number_matcher = re.compile(r"-\.?\d")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--file", help="read the JSON job document from this path")
-    parser.add_argument("--g", type=int)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--l", help="comma-separated degrees, e.g. 1,1")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--ttilde", help="evaluate the volume at this rational point")
-    parser.add_argument("--format", choices=("json", "latex", "plain"))
-    return parser
+# Each flag's converter; a value it rejects is an input error naming the flag.
+_FLAGS = {"file": str, "g": int, "r": int, "l": str, "d": int, "n": int, "ttilde": str,
+          "format": str}
+USAGE = (f"usage: quotvol {{{','.join(COMMANDS)}}} [--file PATH] [--g G] [--r R] "
+         "[--l L1,L2,...] [--d D] [--n N] [--ttilde T] [--format {json,latex,plain}]")
 
 
-def _load_document(args) -> dict:
-    doc: dict = {}
-    if args.file:
+def _read_argv(argv: Sequence[str]) -> dict | None:
+    """The command and flag values of ``argv``, or None for ``-h``/``--help``.
+    The command may stand anywhere; a flag is ``--name value`` or ``--name=value``,
+    the last one wins, and a token not starting with ``--`` is a value (``--l -1,3``)."""
+    args: dict = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("--"):
+            if "command" in args:
+                raise InputError("command", f"a second command {token!r}")
+            args["command"] = token
+            continue
+        name, eq, value = token[2:].partition("=")
+        if name not in _FLAGS:
+            raise InputError(f"--{name}", "unknown flag")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise InputError(name, "expected a value")
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
+            args[name] = _FLAGS[name](value)
+        except ValueError:
+            raise InputError(name, f"expected an integer, got {value!r}") from None
+    if args.get("command") not in COMMANDS:
+        raise InputError("command", f"expected one of {', '.join(COMMANDS)}")
+    return args
+
+
+def _build_argparser():
+    """The argv reader ``main`` calls; ``perfbench/tracer.py`` wraps this name as parse time."""
+    return _read_argv
+
+
+def _load_document(args: dict) -> dict:
+    doc: dict = {}
+    if args.get("file"):
+        try:
+            with open(args["file"], "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InputError("file", str(exc)) from None
@@ -527,10 +552,10 @@ def _load_document(args) -> dict:
             raise InputError("$", f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise InputError("$", "input document must be a JSON object")
-    doc["command"] = args.command
+    doc["command"] = args["command"]
     # flag order fixes the key order of a new field in the echoed input
     for name in ("g", "r", "l", "d", "n", "ttilde", "format"):
-        value = getattr(args, name)
+        value = args.get(name)
         if value is None:
             continue
         if name == "l":
@@ -548,9 +573,12 @@ def _load_document(args) -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_argparser().parse_args(argv)
     started = time.perf_counter()
     try:
+        args = _build_argparser()(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(USAGE)
+            return EXIT_OK
         spec = parse_jobspec(_load_document(args))
         result = run_job(spec)
     except InputError as exc:

@@ -1,8 +1,11 @@
+import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
+from quotvol import cli
 from quotvol.abelian import AcyclicData, CurveQuotProblem
 from quotvol.cli import parse_fraction, parse_jobspec, render_latex, render_plain, run_job
 from quotvol.exterior import AltForm
@@ -386,3 +389,90 @@ def test_sweep_rows_equal_weighted_quot_volume_jobs(doc):
         single = {"command": "quot-volume", "g": row["g"], "r": row["r"], "l": row["l"],
                   "d": row["d"], "weights": [list(range(1, row["r"] + 1))]}
         assert row["volume"] == run_job(parse_jobspec(single))["volume"]
+
+
+# ---------------------------------------------------------------------------
+# the argv reader
+
+FLAGS = ["--g", "2", "--r", "2", "--l", "1,1", "--d", "1", "--format", "plain"]
+
+
+def main_in_process(argv, monkeypatch, capsys):
+    """``cli.main(argv)`` on an empty stdin: exit code, stdout, stderr."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["quot-volume", "--g", "x", "--r", "2"], "g"),             # an integer flag that does not parse
+    (["quot-volume", "--d=1.5"], "d"),
+    (["quot-volume", "--weights", "1,2"], "--weights"),       # unknown flag
+    (["quot-volume", "--form", "plain"], "--form"),           # no prefix abbreviations
+    (["quot-volume", "--g"], "g"),                            # no value at the end
+    (["quot-volume", "--ttilde", "--format", "plain"], "ttilde"),  # a flag is not a value
+    (["--g", "1", "--r", "2"], "command"),                    # no command
+    (["quot-volume", "sweep"], "command"),                    # two commands
+    (["quot-volume", "--g", "1", "2"], "command"),            # a stray value
+    (["quot_volume"], "command"),                             # unknown command
+])
+def test_argv_errors_exit_2_naming_the_field(argv, field, monkeypatch, capsys):
+    code, out, err = main_in_process(argv, monkeypatch, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error at {field!r}:"), err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["quot-volume", "--g", "1", "-h"]])
+def test_help_prints_the_usage_line_and_exits_0(argv, monkeypatch, capsys):
+    code, out, err = main_in_process(argv, monkeypatch, capsys)
+    assert code == 0
+    assert out == cli.USAGE + "\n"
+    assert out.startswith("usage: quotvol {abelian-volume,")
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--g", "2", "--r", "2", "quot-volume", "--l", "1,1", "--d", "1", "--format", "plain"],
+    [*FLAGS, "quot-volume"],
+    ["quot-volume", "--g=2", "--r=2", "--l=1,1", "--d=1", "--format=plain"],
+    ["quot-volume", "--g", "7", "--format", "latex", *FLAGS],  # the last of a repeated flag wins
+])
+def test_flags_stand_anywhere_and_the_last_one_wins(argv, monkeypatch, capsys):
+    want = main_in_process(["quot-volume", *FLAGS], monkeypatch, capsys)[1]
+    assert want.strip() == "volume = \U0001d531 + 2"
+    code, out, _ = main_in_process(argv, monkeypatch, capsys)
+    assert code == 0
+    assert out == want
+
+
+def test_read_argv_converts_integer_flags_only():
+    args = cli._build_argparser()(["sweep", "--r", "-3", "--l", "-1,2", "--file=", "--n=+4"])
+    assert args == {"command": "sweep", "r": -3, "l": "-1,2", "file": "", "n": 4}
+
+
+# ---------------------------------------------------------------------------
+# default verify weights
+
+def _list_based_verify_weights(r):
+    """The three candidates as first written, novelty tested on the list."""
+    primes = []
+    k = 2
+    while len(primes) < r:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    rng = random.Random(20201)
+    rand = []
+    while len(rand) < r:
+        cand = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+        if cand not in rand:
+            rand.append(cand)
+    return tuple(Fraction(k) for k in range(1, r + 1)), tuple(map(Fraction, primes)), tuple(rand)
+
+
+@pytest.mark.parametrize("r", [1, 7, 400])
+def test_default_verify_weights_match_the_list_based_draw(r):
+    vectors = tuple(w.w for w in cli._default_verify_weights(r))
+    assert vectors == _list_based_verify_weights(r)

@@ -1,6 +1,11 @@
 """The package root re-exports each library module's public names, once each
 and in module order, as the very objects the modules define."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import quotvol
 from quotvol import abelian, closed, exterior, grothendieck, localization, scalars
 
@@ -33,3 +38,49 @@ def test_series_oracle_is_importable_but_not_exported():
     # The benchmark tracer patches these module attributes by name.
     assert localization.series_pow_int is scalars.series_pow_int
     assert localization.series_exp is scalars.series_exp
+
+
+# Run in a fresh interpreter: which modules a CLI process loads, and that the
+# exterior algebra still arrives through the package root once asked for.
+LAZY_IMPORTS = """
+import sys
+import quotvol.cli
+assert "argparse" not in sys.modules, "argparse loaded"
+assert "quotvol.exterior" not in sys.modules, "exterior loaded by import quotvol.cli"
+from quotvol import AltForm
+from quotvol.exterior import AltForm as direct
+assert AltForm is direct and quotvol.exterior is sys.modules["quotvol.exterior"]
+names = {}
+exec("from quotvol import *", names)
+assert set(quotvol.__all__) <= set(names), "import * lost names"
+"""
+
+ACYCLIC_JOB = """
+import io, json, sys
+from quotvol import cli
+assert "quotvol.exterior" not in sys.modules
+sys.stdin = io.StringIO(json.dumps({"n_dim": 1, "q": 1, "deg_E": "-1/1",
+    "pairings": ["0/1", "-1/1"], "h": [[0, 1], [-1, 0]],
+    "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}))
+assert cli.main(["acyclic-volume", "--format", "plain"]) == 0
+assert "quotvol.exterior" in sys.modules
+"""
+
+
+def _run_fresh(script):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_cli_import_loads_neither_argparse_nor_exterior():
+    proc = _run_fresh(LAZY_IMPORTS)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_acyclic_job_loads_exterior_on_demand():
+    proc = _run_fresh(ACYCLIC_JOB)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("volume = 𝔱\n"), proc.stdout
