@@ -497,10 +497,11 @@ USAGE = (f"usage: quotvol {{{','.join(COMMANDS)}}} [--file PATH] [--g G] [--r R]
          "[--l L1,L2,...] [--d D] [--n N] [--ttilde T] [--format {json,latex,plain}]")
 
 
-def _read_argv(argv: Sequence[str]) -> dict | None:
+def _build_argparser(argv: Sequence[str]) -> dict | None:
     """The command and flag values of ``argv``, or None for ``-h``/``--help``.
     The command may stand anywhere; a flag is ``--name value`` or ``--name=value``,
-    the last one wins, and a token not starting with ``--`` is a value (``--l -1,3``)."""
+    the last one wins, and a token not starting with ``--`` is a value (``--l -1,3``).
+    ``perfbench/tracer.py`` wraps this name as parse time."""
     args: dict = {}
     tokens = iter(argv)
     for token in tokens:
@@ -527,21 +528,19 @@ def _read_argv(argv: Sequence[str]) -> dict | None:
     return args
 
 
-def _build_argparser():
-    """The argv reader ``main`` calls; ``perfbench/tracer.py`` wraps this name as parse time."""
-    return _read_argv
-
-
 def _load_document(args: dict) -> dict:
     doc: dict = {}
     if args.get("file"):
         try:
             with open(args["file"], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError("file", str(exc)) from None
     elif not sys.stdin.isatty():
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise InputError("$", str(exc)) from None
     else:
         text = ""
     text = text.strip()
@@ -575,7 +574,7 @@ def _load_document(args: dict) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
-        args = _build_argparser()(sys.argv[1:] if argv is None else argv)
+        args = _build_argparser(sys.argv[1:] if argv is None else argv)
         if args is None:
             print(USAGE)
             return EXIT_OK

@@ -448,8 +448,27 @@ def test_flags_stand_anywhere_and_the_last_one_wins(argv, monkeypatch, capsys):
 
 
 def test_read_argv_converts_integer_flags_only():
-    args = cli._build_argparser()(["sweep", "--r", "-3", "--l", "-1,2", "--file=", "--n=+4"])
+    args = cli._build_argparser(["sweep", "--r", "-3", "--l", "-1,2", "--file=", "--n=+4"])
     assert args == {"command": "sweep", "r": -3, "l": "-1,2", "file": "", "n": 4}
+
+
+def test_undecodable_file_is_an_input_error(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = main_in_process(["quot-volume", "--file", str(bad)], monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error at 'file': 'utf-8' codec can't decode"), err
+
+
+def test_undecodable_stdin_is_an_input_error(monkeypatch, capsys):
+    strict = io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", strict)
+    code = cli.main(["quot-volume"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error at '$': 'utf-8' codec can't decode"), err
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 import quotvol.localization as localization
+from quotvol import _oracle
+from quotvol._oracle import TruncSeries, evaluate_composition, integrand, series_pow_int
 from quotvol.abelian import CurveQuotProblem, symmetric_power_volume
 from quotvol.localization import (
     Composition,
@@ -12,13 +14,11 @@ from quotvol.localization import (
     _u_concentrated,
     compositions,
     default_weights,
-    evaluate_composition,
-    integrand,
     quot_volume,
     stability_weights,
     verify_weight_independence,
 )
-from quotvol.scalars import TPoly, TruncSeries, ULaurent, series_pow_int
+from quotvol.scalars import TPoly, ULaurent
 
 
 def wv(*values):
@@ -97,7 +97,7 @@ def test_evaluate_composition_refuses_a_top_term_off_u0(monkeypatch):
     p = QuotProblem(g=1, r=2, l=(0, 0), d=1)
     caps = (1, 0)
     top_at_u1 = TruncSeries(caps, {(1, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0): 5})
-    monkeypatch.setattr(localization, "integrand", lambda p, c, w: top_at_u1)
+    monkeypatch.setattr(_oracle, "integrand", lambda p, c, w: top_at_u1)
     with pytest.raises(ArithmeticError, match="nonzero u-degree in top coefficient"):
         evaluate_composition(p, Composition(caps), wv(0, 1))
 

@@ -21,7 +21,8 @@ def test_package_all_concatenates_the_module_lists():
             assert getattr(quotvol, name) is getattr(module, name), (module.__name__, name)
 
 
-# The unreduced series oracle and the deleted aliases: not public API.
+# The unreduced series oracle (served from ``_oracle``) and the deleted aliases:
+# not public API.
 UNEXPORTED = {
     scalars: ("ULaurent", "TruncSeries", "series_pow_int", "series_exp"),
     localization: ("integrand", "evaluate_composition"),
@@ -67,6 +68,36 @@ assert "quotvol.exterior" in sys.modules
 """
 
 
+# Every command's job leaves the series oracle unloaded; the names the tracer
+# patches on ``scalars`` and ``localization`` still resolve, to the oracle's own objects.
+ORACLE_UNLOADED = """
+import io, json, sys
+from quotvol import cli
+jobs = [
+    (["abelian-volume"], {"g": 1, "l": [3], "d": 2}),
+    (["acyclic-volume"], {"n_dim": 1, "q": 1, "deg_E": "-1/1", "pairings": ["0/1", "-1/1"],
+        "h": [[0, 1], [-1, 0]],
+        "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}),
+    (["quot-volume"], {"g": 1, "r": 2, "l": [0, 1], "d": 2}),
+    (["quot-volume"], {"g": 1, "r": 2, "l": [0, 1], "d": 2, "weights": [["1/2", 3]]}),
+    (["grothendieck-degree"], {"g": 0, "r": 2, "l": [0, 0], "d": 1, "n": 4}),
+    (["verify"], {"g": 1, "r": 3, "l": [0, 1, 2], "d": 1}),
+    (["sweep"], {"r": 2, "g_values": [0, 1], "d": 1, "l": [0, 0]}),
+]
+for argv, doc in jobs:
+    sys.stdin = io.StringIO(json.dumps(doc))
+    assert cli.main(argv) == 0, argv
+    assert "quotvol._oracle" not in sys.modules, argv
+from quotvol import _oracle, localization, scalars
+for module, names in ((scalars, ("TruncSeries", "series_pow_int", "series_exp")),
+                      (localization, ("integrand", "evaluate_composition", "series_pow_int",
+                                      "series_exp"))):
+    for name in names:
+        assert getattr(module, name) is getattr(_oracle, name), (module.__name__, name)
+assert localization.series_pow_int is scalars.series_pow_int
+"""
+
+
 def _run_fresh(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
@@ -84,3 +115,8 @@ def test_acyclic_job_loads_exterior_on_demand():
     proc = _run_fresh(ACYCLIC_JOB)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("volume = 𝔱\n"), proc.stdout
+
+
+def test_no_cli_job_loads_the_series_oracle():
+    proc = _run_fresh(ORACLE_UNLOADED)
+    assert proc.returncode == 0, proc.stderr

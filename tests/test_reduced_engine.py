@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quotvol.localization as localization
+from quotvol._oracle import evaluate_composition
 from quotvol.abelian import CurveQuotProblem, symmetric_power_volume
 from quotvol.localization import (
     QuotProblem,
@@ -20,7 +21,6 @@ from quotvol.localization import (
     _sign,
     compositions,
     default_weights,
-    evaluate_composition,
     quot_volume,
 )
 from quotvol.scalars import TPoly

@@ -5,14 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from quotvol.scalars import (
-    TPoly,
-    TruncSeries,
-    falling_factorial,
-    general_binomial,
-    series_exp,
-    series_pow_int,
-)
+from quotvol._oracle import TruncSeries, series_exp, series_pow_int
+from quotvol.scalars import TPoly, falling_factorial, general_binomial
 
 
 def all_keys(caps):
