@@ -6,6 +6,7 @@ the identity with ``symmetric_power_volume`` is Lagrange inversion; for
 r >= 2 it is checked here, not proved.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -78,3 +79,22 @@ def test_volume_has_degree_d_with_known_leading_coefficient(g, l, d):
         assert volume.degree == d
         assert volume.coefficient(d) == Fraction(1, math.factorial(r - 1) ** d
                                                  * math.factorial(d))
+
+
+def _digest(volume):
+    """SHA-256 of the coefficients, lowest degree first, as ``num/den`` words."""
+    text = " ".join(f"{c.numerator}/{c.denominator}" for c in volume.coeffs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("g, l, d, digest", [
+    (2, (0, 1), 30, "2ea50aad85a48567a0279d5bd6ce1bf3db2a12086bda5da965fa45f72fd351b4"),
+    (3, (1, -1, 2), 12, "b1409892ecebf20363e533570067554088c0495ed37eea79d0b510b648bff8eb"),
+    (2, (0, 1, 2, 3, 4), 8, "5147145a58e85b6efc5544f4d5d11630e7cf43522751d9001291b76d477f52cd"),
+    (0, (0, 0, 0, 0, 0, 0, 0, 1), 4,
+     "9dea2b056f2565194595d2a2cd7295fd238afe37413c9d6d13a2f38197852440"),
+    (1, (3,), 60, "92284dab3023cfc9311667dc271e9f6166d99f3a785f0afeeaccac9e2b5ebb9f"),
+])
+def test_large_volumes_are_pinned(g, l, d, digest):
+    # recorded from the Fraction engine, past the r d <= 24 that localization reaches
+    assert _digest(closed_volume(QuotProblem(g=g, r=len(l), l=l, d=d))) == digest
