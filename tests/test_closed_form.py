@@ -5,10 +5,10 @@ and ``TPoly``, so exact agreement is a differential test of both, up to
 r d = 24, where localization stops being cheap.  For r = 1 the identity with
 ``symmetric_power_volume`` is Lagrange inversion; for r >= 2 it is checked
 here, not proved.  Past r d = 24 the closed form is held to pins recorded
-from the earlier ``Fraction`` engine (r d up to 200) and to facts that hold at
-every size: Grothendieck degrees are non-negative integers, the degree in
-``ttilde`` is d with a known leading coefficient, and r = 1 is the symmetric
-power (d = 100).
+from a ``Fraction`` implementation of the same series (r d up to 200) and to
+facts that hold at every size: Grothendieck degrees are non-negative
+integers, the degree in ``ttilde`` is d with a known leading coefficient, and
+r = 1 is the symmetric power (d = 100).
 """
 
 import hashlib
@@ -93,8 +93,9 @@ def _digest(volume):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# _digest of closed_volume(QuotProblem(g, r, l, d)) by (g, l, d), recorded from
-# the Fraction engine, past the r d <= 24 that localization reaches
+# _digest of closed_volume(QuotProblem(g, r, l, d)) by (g, l, d), recorded from a
+# Fraction implementation of the same series, past the r d <= 24 that
+# localization reaches
 PINS = {
     (2, (0, 1), 30): "2ea50aad85a48567a0279d5bd6ce1bf3db2a12086bda5da965fa45f72fd351b4",
     (3, (1, -1, 2), 12): "b1409892ecebf20363e533570067554088c0495ed37eea79d0b510b648bff8eb",
