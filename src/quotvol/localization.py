@@ -22,8 +22,10 @@ composition contributes the ``prod_i t_i^(d_i)`` coefficient of
 
 where ``A = sum_i s_i t_i - sum_i s_i w_i`` and
 ``c_i = sum_{j != i} 1/(w_j - w_i + t_i)``.  Everything but ``A`` is free of
-``ttilde``, so it is built once per composition as one truncated series with
-rational coefficients in ``(t_1, ..., t_r, z)``: by the binomial theorem
+``ttilde``, so it is built once per composition in one ring: truncated series
+``{exponents: Fraction}`` in ``(t_1, ..., t_r, z)``.  Every factor is a
+``_power`` of ``w + t_i - t_j`` or ``w + t_i``, or a sum of them, and
+``_series_mul`` multiplies them.  By the binomial theorem
 ``sum_k C(g, k) (t_i z)^k (1 + t_i c_i)^(g-k) = (1 + t_i (c_i + z))^g``, so
 the exponent of ``z`` records ``K = |k|``.  Only the contraction with the
 multinomial expansion of ``A^(N-K)`` carries ``TPoly`` coefficients, and it
@@ -32,7 +34,9 @@ produces the one coefficient needed and nothing else.
 Setting ``u = 1`` is checked, never assumed: the homogeneity degree is
 summed from the actual factor exponents, and each composition's coefficient
 passes through ``_u_concentrated`` at ``u^(degree - d)``, which raises
-unless that exponent is 0.
+unless that exponent is 0.  Since
+``rd - 2 gbar C(r, 2) + sum_{i != j} (gbar + l_i - d_i - l_j) = d``, the
+guard reads ``u^0`` on correct code and trips only on a wrong exponent.
 
 The unreduced pipeline, which the tests keep as this engine's oracle, is ``_oracle``.
 
@@ -42,6 +46,7 @@ freedom is kept as an end-to-end consistency check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -123,20 +128,13 @@ def default_weights(r: int) -> WeightVector:
 
 
 def compositions(d: int, r: int) -> list[Composition]:
-    """All weak length-r compositions of d, in descending lexicographic order."""
+    """All weak length-r compositions of d, in descending lexicographic order:
+    the r - 1 bars among d + r - 1 slots (stars and bars), last placement first."""
     if d < 0 or r < 1:
         raise ValueError("need d >= 0 and r >= 1")
-    out: list[Composition] = []
-
-    def build(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(Composition(tuple(prefix + [remaining])))
-            return
-        for first in range(remaining, -1, -1):
-            build(prefix + [first], remaining - first, slots - 1)
-
-    build([], d, r)
-    return out
+    n = d + r - 1
+    return [Composition(tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n))))
+            for bars in reversed(list(itertools.combinations(range(n), r - 1)))]
 
 
 def stability_weights(p: QuotProblem, c: Composition) -> list[TPoly]:
@@ -159,46 +157,29 @@ def _sign(p: QuotProblem) -> int:
     return -1 if parity else 1
 
 
-def _linear_power(w: Fraction, e: int, cap: int) -> list[Fraction]:
-    """Coefficients of ``(w + t)^e`` up to ``t^cap``; ``w != 0``, any integer ``e``."""
-    return [general_binomial(e, k) * w ** (e - k) for k in range(cap + 1)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
-    """Product of two coefficient lists, truncated above ``t^cap``."""
-    out = [Fraction(0)] * (cap + 1)
-    for i, x in enumerate(a[: cap + 1]):
-        if x:
-            for j, y in enumerate(b[: cap + 1 - i]):
-                out[i + j] += x * y
-    return out
-
-
 def _series_mul(a: dict, b: dict, caps: tuple[int, ...]) -> dict:
     """Product of two multivariate series ``{exponents: Fraction}`` within ``caps``."""
-    if len(b) == 1:
-        ((kb, c),) = b.items()
-        if not any(kb):  # a constant: every key of a stays within caps
-            return {k: v * c for k, v in a.items()}
     out: dict[tuple[int, ...], Fraction] = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            if all(e <= c for e, c in zip(key, caps)):
+            key = tuple(map(operator.add, ka, kb))
+            if all(map(operator.le, key, caps)):
                 out[key] = out.get(key, 0) + va * vb
     return out
 
 
-def _cross_factor(w: Fraction, e: int, i: int, j: int, caps: tuple[int, ...]) -> dict:
-    """``(w + t_i - t_j)^e`` as a series within ``caps``."""
+def _power(w: Fraction, e: int, bounds: tuple[int, ...], i: int, j: int | None = None) -> dict:
+    """``(w + t_i - t_j)^e``, or ``(w + t_i)^e`` when ``j`` is None, as a series
+    within ``bounds``; ``w != 0``, any integer ``e``."""
+    cap_j = 0 if j is None else bounds[j]
     out: dict[tuple[int, ...], Fraction] = {}
-    for k, lead in enumerate(_linear_power(w, e, caps[i] + caps[j])):
+    for k in range(bounds[i] + cap_j + 1):
+        lead = general_binomial(e, k) * w ** (e - k)
         if not lead:
             continue
-        for a in range(max(0, k - caps[j]), min(k, caps[i]) + 1):
-            key = [0] * len(caps)
-            key[i], key[j] = a, k - a
-            out[tuple(key)] = lead * math.comb(k, a) * (-1) ** (k - a)
+        for a in range(max(0, k - cap_j), min(k, bounds[i]) + 1):
+            key = tuple(a if m == i else k - a if m == j else 0 for m in range(len(bounds)))
+            out[key] = lead * (math.comb(k, a) * (-1) ** (k - a))
     return out
 
 
@@ -216,41 +197,30 @@ def _reduced_composition(p: QuotProblem, c: Composition, w: WeightVector) -> tup
 
     # One series in (t_1, ..., t_r, z), where z counts K = |k|: first the
     # cross factors, while the series is still free of z and so smaller, then
-    # per summand i the t_i-only factors.  By the binomial theorem the sum
-    # over k_i is own_i (1 + t_i (c_i + z))^g, whose z^k part
-    # C(g, k) t_i^k own_i (1 + t_i c_i)^(g-k) comes off the ladder
-    # own_i (1 + t_i c_i)^m, m = 0..g.
+    # per summand i, built apart, own_i step_i^g with step_i = 1 + t_i (z + c_i).
     bounds = caps + (n,)
-    series: dict[tuple[int, ...], Fraction] = {(0,) * (r + 1): Fraction(1)}
+    one = (0,) * (r + 1)
+    series: dict[tuple[int, ...], Fraction] = {one: Fraction(1)}
     for i in range(r):
         for j in range(i + 1, r):
             degree -= 2 * gbar
-            factor = _cross_factor(w.w[j] - w.w[i], -2 * gbar, i, j, bounds)
-            series = _series_mul(series, factor, bounds)
+            series = _series_mul(series, _power(w.w[j] - w.w[i], -2 * gbar, bounds, i, j), bounds)
     for i in range(r):
-        cap = caps[i]
-        own = [Fraction(1)] + [Fraction(0)] * cap
-        c_i = [Fraction(0)] * (cap + 1)
+        t_i = tuple(int(m == i) for m in range(r + 1))
+        own = {one: Fraction(1)}
+        step = {one: Fraction(1), tuple(int(m in (i, r)) for m in range(r + 1)): Fraction(1)}
         for j in range(r):
             if j == i:
                 continue
             wji = w.w[j] - w.w[i]
             e = gbar + p.l[i] - caps[i] - p.l[j]
             degree += e
-            own = _poly_mul(own, _linear_power(wji, e, cap), cap)
-            c_i = [x + y for x, y in zip(c_i, _linear_power(wji, -1, cap))]
-        one_plus = [Fraction(1)] + c_i[:cap]  # 1 + t_i c_i
-        ladder = [own]
+            own = _series_mul(own, _power(wji, e, bounds, i), bounds)
+            for key, val in _series_mul({t_i: 1}, _power(wji, -1, bounds, i), bounds).items():
+                step[key] = step.get(key, 0) + val
         for _ in range(g):
-            ladder.append(_poly_mul(ladder[-1], one_plus, cap))
-        factor = {}
-        for k in range(min(cap, g) + 1):
-            for a, x in enumerate(ladder[g - k][: cap + 1 - k]):
-                if x:
-                    key = [0] * (r + 1)
-                    key[i], key[r] = a + k, k
-                    factor[tuple(key)] = x * math.comb(g, k)
-        series = _series_mul(series, factor, bounds)
+            own = _series_mul(own, step, bounds)
+        series = _series_mul(series, own, bounds)
 
     # [prod t^d z^K] of the series times A^(N-K), A = sum_i s_i t_i - S: the
     # multinomial term of t^beta is (N-K)!/(beta! j!) s^beta (-S)^j with

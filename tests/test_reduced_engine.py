@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import quotvol.localization as localization
 from quotvol._oracle import evaluate_composition
 from quotvol.abelian import CurveQuotProblem, symmetric_power_volume
+from quotvol.closed import closed_volume
 from quotvol.localization import (
     QuotProblem,
     WeightVector,
@@ -75,6 +76,18 @@ def test_each_composition_matches_series_engine():
             coeff, degree = _reduced_composition(p, c, w)
             assert degree == c.total
             assert coeff == evaluate_composition(p, c, w), (g, c)
+
+
+@pytest.mark.parametrize("g", [4, 5])
+@pytest.mark.parametrize("l, d", [((0, 1, 2, 3), 1), ((2, -1, 0, 1), 2)])
+def test_high_genus_with_rational_weights_matches_closed_form(g, l, d):
+    """The step power (1 + t_i (c_i + z))^g past the genera of the property
+    tests, at rank 4 with non-integral weights."""
+    p = QuotProblem(g=g, r=4, l=l, d=d)
+    w = WeightVector((Fraction(-7, 3), Fraction(1, 2), Fraction(5), Fraction(9, 4)))
+    assert quot_volume(p, w) == closed_volume(p)
+    for c in compositions(p.d, p.r):
+        assert _reduced_composition(p, c, w)[1] == c.total
 
 
 def test_homogeneity_guard_trips_on_a_wrong_degree(monkeypatch):
