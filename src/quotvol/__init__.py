@@ -30,7 +30,8 @@ __version__ = "0.1.0"
 # exterior.__all__, listed here so that importing the package does not load
 # the exterior algebra: only acyclic volumes need it (see ``__getattr__``)
 _EXTERIOR_ALL = ("AltForm", "exp_graded", "evaluate_top", "top_exp_poly", "theta_form",
-                 "standard_symplectic_matrix", "standard_symplectic_form")
+                 "standard_symplectic_matrix", "standard_symplectic_form", "AcyclicData",
+                 "segre_from_ch", "chern_from_ch", "ch_of_V", "curve_acyclic_data")
 
 __all__ = [
     *scalars.__all__,

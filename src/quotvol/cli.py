@@ -14,18 +14,12 @@ from __future__ import annotations
 import json
 import math
 import random
-import re
 import sys
 import time
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .abelian import (
-    AcyclicData,
-    CurveQuotProblem,
-    acyclic_volume,
-    symmetric_power_volume,
-)
+from .abelian import CurveQuotProblem, acyclic_volume, symmetric_power_volume
 from .closed import closed_volume
 from .grothendieck import grothendieck_degree
 from .localization import (
@@ -35,10 +29,7 @@ from .localization import (
     quot_volume,
     verify_weight_independence,
 )
-from .scalars import InputError, Record, TPoly
-
-if TYPE_CHECKING:
-    from .exterior import AltForm
+from .scalars import InputError, Record, TPoly, _require_int, _require_int_list, parse_fraction
 
 __all__ = ["JobSpec", "InputError", "parse_jobspec", "run_job", "main"]
 
@@ -71,47 +62,10 @@ _INTEGERS = (
 
 
 # ---------------------------------------------------------------------------
-# exact-rational (de)serialization
-
-# An integer or num/den; Fraction would also read exponents such as "1e999999999",
-# building a huge integer before any check runs.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def parse_fraction(value, field_name: str) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(field_name, "expected a rational 'num/den' string or integer")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise InputError(field_name, f"bad rational literal {value!r}: "
-                             "expected an integer or 'num/den'")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(field_name, f"bad rational literal {value!r}: {exc}") from None
-    raise InputError(field_name, "expected a rational 'num/den' string or integer")
-
+# exact-rational serialization (``scalars.parse_fraction`` reads them)
 
 def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def _require_int(value, field_name: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(field_name, "expected an integer")
-    if minimum is not None and value < minimum:
-        raise InputError(field_name, f"expected an integer >= {minimum}, got {value}")
-    return value
-
-
-def _require_int_list(value, field_name: str, minimum: int | None = None) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise InputError(field_name, "expected a list of integers")
-    return tuple(
-        _require_int(x, f"{field_name}[{i}]", minimum) for i, x in enumerate(value)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,68 +184,6 @@ def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
     )
 
 
-def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
-    """One degree-2i form per (i, s) with 1 <= i <= q and 0 <= s <= n_dim - i."""
-    from .exterior import AltForm  # only acyclic jobs load the exterior algebra
-    if not isinstance(value, list):
-        raise InputError("kappa", "expected a list of {i, s, terms} objects")
-    out: dict[tuple[int, int], AltForm] = {}
-    for idx, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            raise InputError(f"kappa[{idx}]", "expected an object")
-        i = _require_int(entry.get("i"), f"kappa[{idx}].i")
-        s = _require_int(entry.get("s"), f"kappa[{idx}].s")
-        if not (1 <= i <= q and 0 <= s <= n_dim - i):
-            raise InputError(f"kappa[{idx}]", f"(i, s) = ({i}, {s}) out of range")
-        if (i, s) in out:
-            raise InputError(f"kappa[{idx}]", f"duplicate form (i={i}, s={s})")
-        terms = entry.get("terms")
-        if not isinstance(terms, list):
-            raise InputError(f"kappa[{idx}].terms", "expected a list")
-        form_terms = {}
-        for ti, term in enumerate(terms):
-            if not isinstance(term, dict):
-                raise InputError(f"kappa[{idx}].terms[{ti}]", "expected an object")
-            indices = _require_int_list(term.get("indices"), f"kappa[{idx}].terms[{ti}].indices")
-            if len(indices) != 2 * i:
-                raise InputError(f"kappa[{idx}].terms[{ti}].indices", f"expected {2 * i} indices")
-            if indices in form_terms:
-                raise InputError(f"kappa[{idx}].terms[{ti}].indices",
-                                 f"duplicate indices {list(indices)}")
-            coeff = parse_fraction(term.get("coeff"), f"kappa[{idx}].terms[{ti}].coeff")
-            form_terms[indices] = coeff
-        try:
-            out[(i, s)] = AltForm(q, form_terms)
-        except ValueError as exc:
-            raise InputError(f"kappa[{idx}]", str(exc)) from None
-    # i > n_dim has no s; the first missing key raises, so at most
-    # len(out) + 1 keys are visited whatever the sizes of q and n_dim
-    for i in range(1, min(q, n_dim) + 1):
-        for s in range(n_dim - i + 1):
-            if (i, s) not in out:
-                raise InputError("kappa", f"missing form (i={i}, s={s})")
-    return out
-
-
-def _parse_acyclic(doc: dict, n_dim: int, q: int) -> AcyclicData:
-    """JSON types only: ``AcyclicData`` checks the length and rank of
-    ``pairings`` and the shape and antisymmetry of ``h``."""
-    deg_E = parse_fraction(doc["deg_E"], "deg_E")
-    pairings = doc.get("pairings")
-    if not isinstance(pairings, list):
-        raise InputError("pairings", "expected a list of rationals (s = 0..n_dim)")
-    pairings = tuple(parse_fraction(x, f"pairings[{i}]") for i, x in enumerate(pairings))
-    h = doc.get("h")
-    if not isinstance(h, list) or not all(isinstance(row, list) for row in h):
-        raise InputError("h", "expected a 2q x 2q matrix (a list of rows)")
-    h = tuple(
-        tuple(parse_fraction(x, f"h[{i}][{j}]") for j, x in enumerate(row))
-        for i, row in enumerate(h)
-    )
-    kappa = _parse_kappa(doc.get("kappa", []), q, n_dim)
-    return AcyclicData(n=n_dim, q=q, deg_E=deg_E, pairings=pairings, h=h, kappa_forms=kappa)
-
-
 def parse_jobspec(doc: dict) -> JobSpec:
     """Validate a job document and build the library problem it runs on.
 
@@ -325,6 +217,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
         weights = weights or _default_verify_weights(r)
 
     if command == "acyclic-volume":
+        from .exterior import _parse_acyclic  # only acyclic jobs load the exterior algebra
         problem = _parse_acyclic(doc, ints["n_dim"], ints["q"])
     elif command == "abelian-volume":
         # a degree list has one entry per summand: one on a curve, else r

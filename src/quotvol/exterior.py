@@ -16,15 +16,30 @@ wedge loop and ``_top_int`` the top-degree pairing (each key meets only its
 complement); one ``Fraction`` is built per output coefficient.
 ``top_exp_poly`` runs a polynomial in t through the same core by Kronecker
 substitution: ``sum_k c_k t^k`` is the integer ``sum_k c_k 2^(wk)``.
+
+The acyclic pipeline lives here too, so that only acyclic jobs compile it:
+the pairing data ``AcyclicData`` (and ``curve_acyclic_data``, its curve
+case), the characteristic classes ``ch_of_V``, ``segre_from_ch`` and
+``chern_from_ch``, and ``_parse_acyclic``, the reader of an
+``acyclic-volume`` job document.  ``abelian.acyclic_volume`` evaluates it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import warnings
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import InputError, _as_fraction
+from .scalars import (
+    InputError,
+    Record,
+    _as_fraction,
+    _require_int,
+    _require_int_list,
+    parse_fraction,
+)
 
 __all__ = [
     "AltForm",
@@ -34,6 +49,11 @@ __all__ = [
     "theta_form",
     "standard_symplectic_matrix",
     "standard_symplectic_form",
+    "AcyclicData",
+    "segre_from_ch",
+    "chern_from_ch",
+    "ch_of_V",
+    "curve_acyclic_data",
 ]
 
 
@@ -328,3 +348,215 @@ def standard_symplectic_form(q: int) -> AltForm:
     """``lambda_12 + lambda_34 + ...``; its q-th wedge power over q! is the
     top basis form."""
     return theta_form(q, standard_symplectic_matrix(q))
+
+
+# ---------------------------------------------------------------------------
+# the acyclic pipeline: pairing data, characteristic classes, the JSON reader
+
+def _char_exp(ch: Sequence[AltForm], top_degree: int, sign: int) -> list[AltForm]:
+    """Graded pieces of ``exp(sign * sum (-1)^i ch_i / i)`` up to ``top_degree``."""
+    for idx, form in enumerate(ch):
+        if any(k != 2 * (idx + 1) for k in form.degrees()):
+            raise ValueError("graded degree error")
+    q = ch[0].q if ch else 0
+    pieces = [form * Fraction(sign * (-1) ** i, i) for i, form in enumerate(ch, 1)]
+    return exp_graded(q, pieces, top_degree)
+
+
+def segre_from_ch(ch: Sequence[AltForm], top_degree: int) -> list[AltForm]:
+    """Segre classes from the Chern character components.
+
+    ``ch[i-1]`` must be the degree-2i component.  The total Segre class is
+    ``exp(sum (-1)^i ch_i / i)``; entry j of the result is the degree-2j
+    piece, up to ``top_degree``.
+    """
+    return _char_exp(ch, top_degree, 1)
+
+
+def chern_from_ch(ch: Sequence[AltForm], top_degree: int) -> list[AltForm]:
+    """Chern classes, ``exp(sum (-1)^(i+1) ch_i / i)``; inverse to the Segre
+    total class."""
+    return _char_exp(ch, top_degree, -1)
+
+
+class AcyclicData(Record):
+    """Pairing data describing an acyclic pair on an n-dimensional base.
+
+    ``pairings[s]`` is the number ``<m^s C_(n-s), [X]>`` (``C_i`` the
+    degree-2i pieces of ``ch(E_0) td(X)``), ``deg_E`` is
+    ``<m [omega]^(n-1), [X]>``, ``h`` the antisymmetric pairing matrix behind
+    the theta class, and ``kappa_forms[(i, s)]`` the degree-2i form
+    ``x_1, ..., x_2i -> <x_1 ... x_2i m^s C_(n-i-s), [X]>``.  Records compare
+    by value; holding a dict, they do not hash.
+
+    A bad ``pairings`` or ``h`` raises ``InputError`` naming the field when
+    the record is built.
+    """
+
+    __slots__ = ("n", "q", "deg_E", "pairings", "h", "kappa_forms")
+
+    def __init__(
+        self,
+        n: int,
+        q: int,
+        deg_E: Fraction | int,
+        pairings: Sequence[Fraction | int],
+        h: Sequence[Sequence[Fraction | int]],
+        kappa_forms: Mapping[tuple[int, int], AltForm] | None = None,
+    ):
+        n, q = operator.index(n), operator.index(q)
+        if n < 1:
+            raise ValueError("base dimension must be positive")
+        if q < 0:
+            raise ValueError("q must be non-negative")
+        if kappa_forms is None:
+            kappa_forms = {}
+        super().__init__(
+            n,
+            q,
+            _as_fraction(deg_E),
+            tuple(_as_fraction(p) for p in pairings),
+            tuple(tuple(_as_fraction(x) for x in row) for row in h),
+            kappa_forms,
+        )
+        if len(self.pairings) != n + 1:
+            raise InputError("pairings", f"need pairings for s = 0..n: expected {n + 1} "
+                             f"entries, got {len(self.pairings)}")
+        rank = self.rank
+        if rank.denominator != 1 or rank < 1:
+            raise InputError("pairings",
+                             f"rank sum(-1)^s P_s/s! must be a positive integer, got {rank}")
+        for (i, s), form in kappa_forms.items():
+            if not (1 <= i <= q and 0 <= s <= n - i):
+                raise ValueError(f"kappa index {(i, s)} out of range")
+            if form.q != q:
+                raise ValueError("rank mismatch in kappa form")
+            if any(k != 2 * i for k in form.degrees()):
+                raise ValueError("graded degree error")
+        theta_form(q, self.h)
+
+    @property
+    def rank(self) -> Fraction:
+        """chi of the twisted sections bundle: sum (-1)^s pairings[s]/s!.
+
+        Summed in integers as sum (-1)^s a_s n!/s!, a_s = pairings[s] times
+        the common denominator D of the pairings, and divided by D n! once."""
+        den = math.lcm(*(p.denominator for p in self.pairings))
+        total, weight = 0, 1  # weight = n!/s!
+        for s in range(self.n, -1, -1):
+            p = self.pairings[s]
+            if p:
+                total += (-1) ** s * weight * (p.numerator * (den // p.denominator))
+            weight *= s
+        return Fraction(total, den * math.factorial(self.n))
+
+    @property
+    def dimension(self) -> int:
+        """N = rank + q - 1, the dimension of the projective bundle."""
+        return int(self.rank) + self.q - 1
+
+
+def ch_of_V(data: AcyclicData) -> list[AltForm]:
+    """Chern character components ch_1, ..., ch_q of the sections bundle:
+    ch_i = sum_{s=0}^{n-i} (-1)^(i+s)/s! kappa_(m^s C_(n-i-s))."""
+    out = []
+    for i in range(1, data.q + 1):
+        ch_i = AltForm.zero(data.q)
+        for s in range(data.n - i + 1):
+            form = data.kappa_forms.get((i, s))
+            if form is None:
+                raise ValueError(f"incomplete pairing data: kappa form (i={i}, s={s}) missing")
+            ch_i = ch_i + form * Fraction((-1) ** (i + s), math.factorial(s))
+        out.append(ch_i)
+    return out
+
+
+def curve_acyclic_data(g: int, r0: int, deg_E0: int, m: int) -> AcyclicData:
+    """Acyclic-pair data for a rank-r0 bundle of degree deg_E0 on a genus-g
+    curve, with rank-1 kernels of degree m.
+
+    Outside the acyclicity range ``deg_E0 > r0 m + 2 r0 (g - 1)`` the data
+    still evaluates to the same polynomial, but the projective-bundle
+    description is the caller's claim; a warning is issued.
+    """
+    if r0 < 1:
+        raise ValueError("r0 must be positive")
+    if not deg_E0 > r0 * m + 2 * r0 * (g - 1):
+        warnings.warn(
+            f"(deg_E0={deg_E0}, r0={r0}, m={m}, g={g}) is outside the acyclic range; "
+            "the formula value is returned but the bundle description may fail",
+            stacklevel=2,
+        )
+    pairings = (Fraction(deg_E0 + r0 * (1 - g)), Fraction(m * r0))
+    kappa: dict[tuple[int, int], AltForm] = {}
+    if g >= 1:
+        kappa[(1, 0)] = standard_symplectic_form(g) * r0
+    return AcyclicData(
+        n=1,
+        q=g,
+        deg_E=Fraction(m),
+        pairings=pairings,
+        h=standard_symplectic_matrix(g),
+        kappa_forms=kappa,
+    )
+
+
+def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
+    """One degree-2i form per (i, s) with 1 <= i <= q and 0 <= s <= n_dim - i."""
+    if not isinstance(value, list):
+        raise InputError("kappa", "expected a list of {i, s, terms} objects")
+    out: dict[tuple[int, int], AltForm] = {}
+    for idx, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise InputError(f"kappa[{idx}]", "expected an object")
+        i = _require_int(entry.get("i"), f"kappa[{idx}].i")
+        s = _require_int(entry.get("s"), f"kappa[{idx}].s")
+        if not (1 <= i <= q and 0 <= s <= n_dim - i):
+            raise InputError(f"kappa[{idx}]", f"(i, s) = ({i}, {s}) out of range")
+        if (i, s) in out:
+            raise InputError(f"kappa[{idx}]", f"duplicate form (i={i}, s={s})")
+        terms = entry.get("terms")
+        if not isinstance(terms, list):
+            raise InputError(f"kappa[{idx}].terms", "expected a list")
+        form_terms = {}
+        for ti, term in enumerate(terms):
+            if not isinstance(term, dict):
+                raise InputError(f"kappa[{idx}].terms[{ti}]", "expected an object")
+            indices = _require_int_list(term.get("indices"), f"kappa[{idx}].terms[{ti}].indices")
+            if len(indices) != 2 * i:
+                raise InputError(f"kappa[{idx}].terms[{ti}].indices", f"expected {2 * i} indices")
+            if indices in form_terms:
+                raise InputError(f"kappa[{idx}].terms[{ti}].indices",
+                                 f"duplicate indices {list(indices)}")
+            coeff = parse_fraction(term.get("coeff"), f"kappa[{idx}].terms[{ti}].coeff")
+            form_terms[indices] = coeff
+        try:
+            out[(i, s)] = AltForm(q, form_terms)
+        except ValueError as exc:
+            raise InputError(f"kappa[{idx}]", str(exc)) from None
+    # i > n_dim has no s; the first missing key raises, so at most
+    # len(out) + 1 keys are visited whatever the sizes of q and n_dim
+    for i in range(1, min(q, n_dim) + 1):
+        for s in range(n_dim - i + 1):
+            if (i, s) not in out:
+                raise InputError("kappa", f"missing form (i={i}, s={s})")
+    return out
+
+
+def _parse_acyclic(doc: dict, n_dim: int, q: int) -> AcyclicData:
+    """JSON types only: ``AcyclicData`` checks the length and rank of
+    ``pairings`` and the shape and antisymmetry of ``h``."""
+    deg_E = parse_fraction(doc["deg_E"], "deg_E")
+    pairings = doc.get("pairings")
+    if not isinstance(pairings, list):
+        raise InputError("pairings", "expected a list of rationals (s = 0..n_dim)")
+    pairings = tuple(parse_fraction(x, f"pairings[{i}]") for i, x in enumerate(pairings))
+    h = doc.get("h")
+    if not isinstance(h, list) or not all(isinstance(row, list) for row in h):
+        raise InputError("h", "expected a 2q x 2q matrix (a list of rows)")
+    h = tuple(
+        tuple(parse_fraction(x, f"h[{i}][{j}]") for j, x in enumerate(row))
+        for i, row in enumerate(h)
+    )
+    kappa = _parse_kappa(doc.get("kappa", []), q, n_dim)
+    return AcyclicData(n=n_dim, q=q, deg_E=deg_E, pairings=pairings, h=h, kappa_forms=kappa)

@@ -15,12 +15,15 @@ instances may be shared freely across threads.
 
 ``Record`` is the base of the package's parameter records (``QuotProblem``
 and the like), and ``InputError`` the error their checks raise when a value
-names a field; both live here because every module imports this one.
+names a field; ``parse_fraction``, ``_require_int`` and ``_require_int_list``
+read JSON values and raise it.  They live here because every module imports
+this one.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -103,6 +106,43 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+# An integer or num/den; Fraction would also read exponents such as "1e999999999",
+# building a huge integer before any check runs.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_fraction(value, field_name: str) -> Fraction:
+    if isinstance(value, bool):
+        raise InputError(field_name, "expected a rational 'num/den' string or integer")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise InputError(field_name, f"bad rational literal {value!r}: "
+                             "expected an integer or 'num/den'")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(field_name, f"bad rational literal {value!r}: {exc}") from None
+    raise InputError(field_name, "expected a rational 'num/den' string or integer")
+
+
+def _require_int(value, field_name: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(field_name, "expected an integer")
+    if minimum is not None and value < minimum:
+        raise InputError(field_name, f"expected an integer >= {minimum}, got {value}")
+    return value
+
+
+def _require_int_list(value, field_name: str, minimum: int | None = None) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise InputError(field_name, "expected a list of integers")
+    return tuple(
+        _require_int(x, f"{field_name}[{i}]", minimum) for i, x in enumerate(value)
+    )
 
 
 class TPoly:

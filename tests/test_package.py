@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quotvol
 from quotvol import abelian, closed, exterior, grothendieck, localization, scalars
 
@@ -41,6 +43,25 @@ def test_series_oracle_is_importable_but_not_exported():
     assert localization.series_exp is scalars.series_exp
 
 
+# The acyclic pipeline lives in ``exterior``; ``abelian`` serves its names for
+# the callers that read them there (the benchmark's job generator and tracer among them).
+MOVED_TO_EXTERIOR = ("AcyclicData", "ch_of_V", "segre_from_ch", "chern_from_ch",
+                     "curve_acyclic_data")
+
+
+def test_moved_names_resolve_from_their_old_homes():
+    from quotvol import cli
+    from quotvol.abelian import curve_acyclic_data
+
+    assert curve_acyclic_data is exterior.curve_acyclic_data
+    for name in MOVED_TO_EXTERIOR:
+        assert name not in abelian.__all__ and name in exterior.__all__, name
+        assert getattr(abelian, name) is getattr(exterior, name), name
+    assert cli.parse_fraction is scalars.parse_fraction
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        abelian.missing
+
+
 # Run in a fresh interpreter: which modules a CLI process loads, and that the
 # exterior algebra still arrives through the package root once asked for.
 LAZY_IMPORTS = """
@@ -68,26 +89,28 @@ assert "quotvol.exterior" in sys.modules
 """
 
 
-# Every command's job leaves the series oracle unloaded; the names the tracer
-# patches on ``scalars`` and ``localization`` still resolve, to the oracle's own objects.
+# Every command's job leaves the series oracle unloaded, and only the acyclic
+# job (run last) loads the exterior algebra; the names the tracer patches on
+# ``scalars`` and ``localization`` still resolve, to the oracle's own objects.
 ORACLE_UNLOADED = """
 import io, json, sys
 from quotvol import cli
 jobs = [
     (["abelian-volume"], {"g": 1, "l": [3], "d": 2}),
-    (["acyclic-volume"], {"n_dim": 1, "q": 1, "deg_E": "-1/1", "pairings": ["0/1", "-1/1"],
-        "h": [[0, 1], [-1, 0]],
-        "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}),
     (["quot-volume"], {"g": 1, "r": 2, "l": [0, 1], "d": 2}),
     (["quot-volume"], {"g": 1, "r": 2, "l": [0, 1], "d": 2, "weights": [["1/2", 3]]}),
     (["grothendieck-degree"], {"g": 0, "r": 2, "l": [0, 0], "d": 1, "n": 4}),
     (["verify"], {"g": 1, "r": 3, "l": [0, 1, 2], "d": 1}),
     (["sweep"], {"r": 2, "g_values": [0, 1], "d": 1, "l": [0, 0]}),
+    (["acyclic-volume"], {"n_dim": 1, "q": 1, "deg_E": "-1/1", "pairings": ["0/1", "-1/1"],
+        "h": [[0, 1], [-1, 0]],
+        "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}),
 ]
 for argv, doc in jobs:
     sys.stdin = io.StringIO(json.dumps(doc))
     assert cli.main(argv) == 0, argv
     assert "quotvol._oracle" not in sys.modules, argv
+    assert ("quotvol.exterior" in sys.modules) == (argv == ["acyclic-volume"]), argv
 from quotvol import _oracle, localization, scalars
 for module, names in ((scalars, ("TruncSeries", "series_pow_int", "series_exp")),
                       (localization, ("integrand", "evaluate_composition", "series_pow_int",
