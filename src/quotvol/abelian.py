@@ -1,12 +1,12 @@
 """Closed-formula volumes for Quot spaces with rank-1 kernel.
 
-Two routes are implemented:
+The Kaehler class of a rank-1 Quot space is (deg_E + ttilde) h + theta, so
+both routes are one sum ``v = sum_k c_k (deg_E + ttilde)^(N-k) / (N-k)!``:
 
-* the curve case, where the Quot space is a symmetric power of the curve and
-  the volume expands against the classical intersection numbers
-  ``<gamma^(d-j) theta^j> = g!/(g-j)!``;
-* the general acyclic case, where the Quot space is a projective bundle over
-  the Picard torus and the volume is an exterior-algebra evaluation driven by
+* on a curve the Quot space is the symmetric power X^(d), N = d, and
+  ``c_k = C(g, k)`` by ``<gamma^(d-k) theta^k> = g!/(g-k)!``;
+* in the acyclic case it is a projective bundle over the Picard torus and
+  ``c_k = <theta^k s_(q-k)> / k!`` is an exterior-algebra evaluation driven by
   abstract pairing data (``AcyclicData``).
 
 The rest of the acyclic pipeline (``AcyclicData``, ``ch_of_V``,
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .scalars import Record, TPoly, falling_factorial
 
@@ -68,22 +68,26 @@ def poincare_number(g: int, a: int, b: int) -> Fraction:
     return falling_factorial(g, b)
 
 
+def _shifted_sum(x: Fraction | int, n: int, c: Sequence[Fraction | int]) -> TPoly:
+    """sum_{k <= n} c[k] (x + ttilde)^(n-k) / (n-k)!, one ttilde^m coefficient
+    at a time by the binomial theorem: sum_k c[k] x^(n-k-m) / (m! (n-k-m)!)."""
+    a = [Fraction(x) ** j / math.factorial(j) for j in range(n + 1)]  # x^j / j!
+    return TPoly(sum(ck * a[n - m - k] for k, ck in enumerate(c[:n - m + 1])) / math.factorial(m)
+                 for m in range(n + 1))
+
+
 def symmetric_power_volume(p: CurveQuotProblem) -> TPoly:
     """Normalized volume of the d-th symmetric power.
 
-    v = sum_{j=0}^{min(d,g)} C(g,j)/(d-j)! (deg_E + ttilde)^(d-j).
+    v = sum_{j=0}^{min(d,g)} C(g,j)/(d-j)! (deg_E + ttilde)^(d-j), the rank-1
+    sum of ``acyclic_volume`` at N = d with c_j = C(g, j).
 
     The sum starts at j = 0: the j = 0 term carries the leading
     (deg_E + ttilde)^d / d! contribution, and dropping it (an easy off-by-one
     when quoting the classical intersection formula) would already fail the
     d = 0 normalization v = 1.  The metric volume is (4 pi^2)^d times this.
     """
-    base = TPoly((p.deg_E, 1))
-    total = TPoly()
-    for j in range(min(p.d, p.g) + 1):
-        coeff = Fraction(math.comb(p.g, j), math.factorial(p.d - j))
-        total = total + base ** (p.d - j) * coeff
-    return total
+    return _shifted_sum(p.deg_E, p.d, [math.comb(p.g, j) for j in range(min(p.d, p.g) + 1)])
 
 
 class MantonNasirValues(NamedTuple):
@@ -118,29 +122,19 @@ def manton_nasir_check(g: int, d: int, vol_X: Fraction, pi_stand_in: Fraction) -
 
 
 def acyclic_volume(data: AcyclicData) -> TPoly:
-    """Normalized volume of the projective-bundle Quot space.
+    """Normalized volume of the projective-bundle Quot space, in units of
+    (4 pi^2)^N: v = sum_k c_k (deg_E + ttilde)^(N-k) / (N-k)! with
+    c_k = <theta^k s_(q-k)> / k!, the bracket top evaluation on the rank-2q
+    lattice; only k <= q contribute.
 
-    v = (1/N!) sum_k C(N,k) (deg_E + ttilde)^(N-k) <theta^k s_(q-k)> where
-    the bracket is top evaluation on the rank-2q lattice; only theta
-    exponents k <= q contribute.  Units of (4 pi^2)^N.
-
-    Even forms commute, so sum_k t^k/k! <theta^k s_(q-k)> is the top
-    evaluation of exp(t theta) ^ s = exp(t theta + f_1 + f_2 + ...) with
-    f_i = (-1)^i ch_i / i, which ``top_exp_poly`` computes as one polynomial
-    in t: <theta^k s_(q-k)> = k! [t^k].
+    Even forms commute, so sum_k t^k c_k is the top evaluation of
+    exp(t theta) ^ s = exp(t theta + f_1 + f_2 + ...) with
+    f_i = (-1)^i ch_i / i, which ``top_exp_poly`` returns as the list of c_k.
     """
     from .exterior import ch_of_V, theta_form, top_exp_poly
-    q = data.q
-    N = data.dimension
     pieces = [form * Fraction((-1) ** i, i) for i, form in enumerate(ch_of_V(data), 1)]
-    top = top_exp_poly(theta_form(q, data.h), pieces)
-    base = TPoly((data.deg_E, 1))
-    total = TPoly()
-    for k in range(min(q, N) + 1):
-        pairing = math.factorial(k) * top[k]
-        if pairing:
-            total = total + base ** (N - k) * (math.comb(N, k) * pairing)
-    return total * Fraction(1, math.factorial(N))
+    theta = theta_form(data.q, data.h)
+    return _shifted_sum(data.deg_E, data.dimension, top_exp_poly(theta, pieces))
 
 
 def __getattr__(name: str):  # perfbench/jobs.py and tracer.py read these names here

@@ -140,18 +140,21 @@ def _parse_weights(doc: dict, command: str, r: int | None) -> tuple[WeightVector
         raise InputError("weights", f"{command} takes no torus weights")
     if not isinstance(ws, list) or not all(isinstance(v, list) for v in ws):
         raise InputError("weights", "expected a list of weight vectors")
-    parsed = []
+    parsed: dict[WeightVector, int] = {}  # each vector -> its first index
     for vi, vec in enumerate(ws):
         entries = tuple(parse_fraction(x, f"weights[{vi}][{k}]") for k, x in enumerate(vec))
         try:
-            parsed.append(WeightVector(entries))
+            w = WeightVector(entries)
         except ValueError as exc:
             raise InputError(f"weights[{vi}]", str(exc)) from None
+        if w in parsed:
+            raise InputError(f"weights[{vi}]", f"repeats weights[{parsed[w]}]")
+        parsed[w] = vi
     if command == "quot-volume" and len(parsed) != 1:
         raise InputError("weights", "quot-volume takes a single weight vector")
     if command == "verify" and len(parsed) == 1:
         raise InputError("weights", "verify needs at least two weight vectors")
-    for vi, w in enumerate(parsed):
+    for w, vi in parsed.items():
         if len(w.w) != r:
             raise InputError(f"weights[{vi}]", f"expected {r} weights")
     return tuple(parsed)
@@ -190,8 +193,8 @@ def parse_jobspec(doc: dict) -> JobSpec:
     Every input check runs here, so ``run_job`` only computes."""
     if not isinstance(doc, dict):
         raise InputError("$", "input document must be a JSON object")
-    if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise InputError("schema", f"unsupported schema version {doc.get('schema')!r}")
+    if (schema := doc.get("schema", SCHEMA_VERSION)) != SCHEMA_VERSION or type(schema) is not int:
+        raise InputError("schema", f"unsupported schema version {schema!r}")
     command = doc.get("command")
     if command not in COMMANDS:
         raise InputError("command", f"expected one of {', '.join(COMMANDS)}")

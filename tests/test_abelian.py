@@ -20,6 +20,7 @@ from quotvol.abelian import (
     segre_from_ch,
     symmetric_power_volume,
 )
+from quotvol.closed import closed_volume
 from quotvol.exterior import (
     AltForm,
     evaluate_top,
@@ -27,6 +28,7 @@ from quotvol.exterior import (
     standard_symplectic_matrix,
     theta_form,
 )
+from quotvol.localization import QuotProblem
 from quotvol.scalars import TPoly, falling_factorial
 
 import random
@@ -63,16 +65,15 @@ def test_symmetric_power_volume_examples():
 
 def test_symmetric_power_volume_two_paths_agree():
     t = TPoly.variable()
-    for g in range(5):
-        for d in range(6):
-            for e in (-2, 0, 3):
-                v = symmetric_power_volume(CurveQuotProblem(g, e, d))
-                oracle = TPoly()
-                for j in range(d + 1):
-                    oracle = oracle + (t + e) ** (d - j) * (
-                        Fraction(math.comb(d, j)) * poincare_number(g, d - j, j)
-                    )
-                assert v == oracle * Fraction(1, math.factorial(d))
+    shapes = [(g, d, e) for g in range(5) for d in range(6) for e in (-2, 0, 3)]
+    for g, d, e in shapes + [(3, 60, -7)]:  # one large degree
+        v = symmetric_power_volume(CurveQuotProblem(g, e, d))
+        oracle = TPoly()
+        for j in range(d + 1):
+            oracle = oracle + (t + e) ** (d - j) * (
+                Fraction(math.comb(d, j)) * poincare_number(g, d - j, j)
+            )
+        assert v == oracle * Fraction(1, math.factorial(d)), (g, d, e)
 
 
 def test_symmetric_power_volume_degree_and_leading():
@@ -270,13 +271,15 @@ def test_acyclic_volume_degenerate_zero_forms():
 
 
 def test_acyclic_volume_matches_symmetric_power():
-    for g in range(4):
-        for d in range(max(0, 2 * g - 1), 2 * g + 4):
-            for deg_E0 in (0, 5):
-                m = deg_E0 - d
-                got = acyclic_volume(curve_data(g, 1, deg_E0, m))
-                want = symmetric_power_volume(CurveQuotProblem(g, m, d))
-                assert got == want, (g, d, deg_E0)
+    shapes = [(g, d, deg_E0) for g in range(4) for d in range(max(0, 2 * g - 1), 2 * g + 4)
+              for deg_E0 in (0, 5)]
+    for g, d, deg_E0 in shapes + [(3, 40, 5)]:  # one large degree
+        m = deg_E0 - d
+        got = acyclic_volume(curve_data(g, 1, deg_E0, m))
+        want = symmetric_power_volume(CurveQuotProblem(g, m, d))
+        assert got == want, (g, d, deg_E0)
+        # the closed form at r = 1 shares no code with either rank-1 path
+        assert got == closed_volume(QuotProblem(g, 1, (deg_E0,), d)), (g, d, deg_E0)
 
 
 def test_acyclic_volume_positive_at_large_t():
