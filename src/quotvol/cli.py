@@ -11,13 +11,14 @@ Exit codes: 0 success, 2 input error, 3 computation error.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
 import sys
 import time
 from fractions import Fraction
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .abelian import CurveQuotProblem, acyclic_volume, symmetric_power_volume
 from .closed import closed_volume
@@ -31,7 +32,7 @@ from .localization import (
 )
 from .scalars import InputError, Record, TPoly, _require_int, _require_int_list, parse_fraction
 
-__all__ = ["JobSpec", "InputError", "parse_jobspec", "run_job", "main"]
+__all__ = ["JobSpec", "InputError", "parse_jobspec", "run_job", "main", "entry"]
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -194,7 +195,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
     if not isinstance(doc, dict):
         raise InputError("$", "input document must be a JSON object")
     if (schema := doc.get("schema", SCHEMA_VERSION)) != SCHEMA_VERSION or type(schema) is not int:
-        raise InputError("schema", f"unsupported schema version {schema!r}")
+        raise InputError("schema", f"unsupported schema version {json.dumps(schema, default=repr)}")
     command = doc.get("command")
     if command not in COMMANDS:
         raise InputError("command", f"expected one of {', '.join(COMMANDS)}")
@@ -491,5 +492,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     return EXIT_OK
 
 
+def entry() -> NoReturn:
+    """Process entry point (``python -m quotvol.cli``, the ``quotvol`` script).
+
+    Runs ``main()``, then freezes the collector before exiting: every object
+    alive at that point moves to the permanent generation, which the
+    collections at interpreter shutdown do not scan.  Shutdown is otherwise
+    normal: streams are flushed, ``atexit`` handlers run, modules are torn
+    down.  ``main()`` itself does not freeze, because tests and tracers call
+    it many times in one process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

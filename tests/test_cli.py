@@ -1,4 +1,6 @@
+import gc
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -171,6 +173,10 @@ def test_exit_code_on_input_error():
     proc = run_cli(["quot-volume"], "this is not json")
     assert proc.returncode == 2
 
+    proc = run_cli(["quot-volume", "--g", "x"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error at 'g'")
+
     doc = {"command": "quot-volume", "schema": 99, "g": 0, "r": 1, "l": [0], "d": 0}
     proc = run_cli(["quot-volume"], json.dumps(doc))
     assert proc.returncode == 2
@@ -237,6 +243,10 @@ def test_parse_fraction_and_jobspec_errors():
     with pytest.raises(InputError, match="weights"):
         parse_jobspec({"command": "quot-volume", "g": 0, "r": 1, "l": [0], "d": 0,
                        "weights": "nope"})
+    # a library caller's schema value that JSON cannot spell is still an input error
+    with pytest.raises(InputError, match=r'version "Fraction\(1, 1\)"'):
+        parse_jobspec({"command": "quot-volume", "schema": Fraction(1), "g": 0, "r": 1,
+                       "l": [0], "d": 0})
     with pytest.raises(InputError, match="1/0"):
         parse_fraction("1/0", "x")
 
@@ -469,6 +479,70 @@ def test_undecodable_stdin_is_an_input_error(monkeypatch, capsys):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err.startswith("input error at '$': 'utf-8' codec can't decode"), err
+
+
+@pytest.mark.parametrize("schema, text", [(True, "true"), ("2", '"2"')])
+def test_schema_error_spells_the_value_as_json(schema, text, monkeypatch, capsys):
+    doc = {"command": "quot-volume", "schema": schema, "g": 1, "r": 2, "l": [0, 0], "d": 1}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["quot-volume"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"input error at 'schema': unsupported schema version {text}\n"
+
+
+# ---------------------------------------------------------------------------
+# the process entry point: main(), then a collector freeze before exit
+
+# runs quotvol.cli as __main__ (on the arguments after ``-c``), then prints the
+# collector's freeze count to stderr from an atexit handler
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"freeze_count={gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module("quotvol.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def dense_acyclic_latex_doc():
+    """Dense q = 6, n_dim = 2 pairing data (every h entry and kappa
+    coefficient nonzero) whose ``latex`` result echoes about 100 KB of input."""
+    h = [[(j - i) % 5 + 1 if i < j else -((i - j) % 5 + 1) if i > j else 0
+          for j in range(12)] for i in range(12)]
+    kappa = [{"i": i, "s": s, "terms": [
+        {"indices": list(k), "coeff": f"{((i + s + 2) * sum(k)) % 7 - 3 or 1}/{1 + sum(k) % 2}"}
+        for k in itertools.combinations(range(1, 13), 2 * i)]}
+        for i in (1, 2) for s in range(3 - i)]
+    return {"command": "acyclic-volume", "format": "latex", "n_dim": 2, "q": 6,
+            "deg_E": "-3/2", "pairings": [3, -1, -4], "h": h, "kappa": kappa}
+
+
+def test_main_in_process_does_not_freeze(monkeypatch, capsys):
+    before = gc.get_freeze_count()
+    assert main_in_process(["quot-volume", *FLAGS], monkeypatch, capsys)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_module_as_main_freezes_before_atexit_and_prints_main_bytes(monkeypatch, capsys):
+    want = main_in_process(["quot-volume", *FLAGS], monkeypatch, capsys)[1]
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, "quot-volume", *FLAGS],
+                          input="", capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+    count = int(proc.stderr.splitlines()[-1].removeprefix("freeze_count="))
+    assert count > 0
+
+
+def test_large_stdout_arrives_whole_through_a_pipe(monkeypatch, capsys):
+    doc = json.dumps(dense_acyclic_latex_doc())
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert cli.main(["acyclic-volume"]) == 0
+    want = capsys.readouterr().out
+    assert len(want) > 90_000
+    # a block-buffered stdout, as a process has by default on a pipe: an exit
+    # that skips the flush (os._exit) loses its last block
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    proc = run_cli(["acyclic-volume"], doc)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
 
 
 # ---------------------------------------------------------------------------
