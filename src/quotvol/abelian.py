@@ -27,7 +27,7 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .scalars import Record, TPoly, falling_factorial
+from .scalars import Record, TPoly, _as_fraction, falling_factorial
 
 if TYPE_CHECKING:  # imported where used: only acyclic volumes load the exterior algebra
     from .exterior import AcyclicData
@@ -105,10 +105,9 @@ def manton_nasir_check(g: int, d: int, vol_X: Fraction, pi_stand_in: Fraction) -
     The caller asserts their ratio is ``pi^d``; running several distinct
     stand-ins pins that power as a polynomial identity.
     """
-    pi = Fraction(pi_stand_in)
+    pi, vol = _as_fraction(pi_stand_in), _as_fraction(vol_X)
     if pi == 0:
         raise ValueError("pi stand-in must be nonzero")
-    vol = Fraction(vol_X)
     v = symmetric_power_volume(CurveQuotProblem(g=g, deg_E=-d, d=d))
     quot_side = (4 * pi ** 2) ** d * v(vol / (4 * pi))
     mn = Fraction(0)
@@ -131,8 +130,8 @@ def acyclic_volume(data: AcyclicData) -> TPoly:
     exp(t theta) ^ s = exp(t theta + f_1 + f_2 + ...) with
     f_i = (-1)^i ch_i / i, which ``top_exp_poly`` returns as the list of c_k.
     """
-    from .exterior import ch_of_V, theta_form, top_exp_poly
-    pieces = [form * Fraction((-1) ** i, i) for i, form in enumerate(ch_of_V(data), 1)]
+    from .exterior import _char_pieces, ch_of_V, theta_form, top_exp_poly
+    pieces = _char_pieces(ch_of_V(data), 1)
     theta = theta_form(data.q, data.h)
     return _shifted_sum(data.deg_E, data.dimension, top_exp_poly(theta, pieces))
 

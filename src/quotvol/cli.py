@@ -119,7 +119,7 @@ def _parse_t_section(doc: dict) -> tuple:
         raise InputError("t", "expected an object")
     mode = t.get("mode", "ttilde-symbolic")
     if mode not in ("ttilde-symbolic", "ttilde-value", "physical-t"):
-        raise InputError("t.mode", f"unknown mode {mode!r}")
+        raise InputError("t.mode", f"unknown mode {json.dumps(mode, default=repr)}")
     value, vol_X, pi_probe = (
         parse_fraction(t[key], f"t.{key}") if key in t else None
         for key in ("value", "vol_X", "pi_probe")
@@ -217,7 +217,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
     weights = _parse_weights(doc, command, r)
     if command == "verify":
         if doc.get("suite", "weight-independence") != "weight-independence":
-            raise InputError("suite", f"unknown suite {doc['suite']!r}")
+            raise InputError("suite", f"unknown suite {json.dumps(doc['suite'], default=repr)}")
         weights = weights or _default_verify_weights(r)
 
     if command == "acyclic-volume":

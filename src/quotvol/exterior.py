@@ -325,8 +325,8 @@ def theta_form(q: int, h: Sequence[Sequence[Fraction | int]]) -> AltForm:
     terms = {}
     for i in range(n):
         for j in range(i, n):
-            c = Fraction(h[i][j])
-            if c != -Fraction(h[j][i]):
+            c = _as_fraction(h[i][j])
+            if c != -_as_fraction(h[j][i]):
                 raise InputError(f"h[{i}][{j}]",
                                  f"h must be antisymmetric, but h[{j}][{i}] = {h[j][i]}")
             if c:
@@ -353,14 +353,18 @@ def standard_symplectic_form(q: int) -> AltForm:
 # ---------------------------------------------------------------------------
 # the acyclic pipeline: pairing data, characteristic classes, the JSON reader
 
-def _char_exp(ch: Sequence[AltForm], top_degree: int, sign: int) -> list[AltForm]:
-    """Graded pieces of ``exp(sign * sum (-1)^i ch_i / i)`` up to ``top_degree``."""
+def _char_pieces(ch: Sequence[AltForm], sign: int) -> list[AltForm]:
+    """The forms ``sign * (-1)^i ch_i / i``: their sum is the logarithm of the
+    total Segre class (sign 1) or of the total Chern class (sign -1)."""
     for idx, form in enumerate(ch):
         if any(k != 2 * (idx + 1) for k in form.degrees()):
             raise ValueError("graded degree error")
-    q = ch[0].q if ch else 0
-    pieces = [form * Fraction(sign * (-1) ** i, i) for i, form in enumerate(ch, 1)]
-    return exp_graded(q, pieces, top_degree)
+    return [form * Fraction(sign * (-1) ** i, i) for i, form in enumerate(ch, 1)]
+
+
+def _char_exp(ch: Sequence[AltForm], top_degree: int, sign: int) -> list[AltForm]:
+    """Graded pieces of ``exp(sign * sum (-1)^i ch_i / i)`` up to ``top_degree``."""
+    return exp_graded(ch[0].q if ch else 0, _char_pieces(ch, sign), top_degree)
 
 
 def segre_from_ch(ch: Sequence[AltForm], top_degree: int) -> list[AltForm]:
@@ -437,16 +441,12 @@ class AcyclicData(Record):
 
     @property
     def rank(self) -> Fraction:
-        """chi of the twisted sections bundle: sum (-1)^s pairings[s]/s!.
-
-        Summed in integers as sum (-1)^s a_s n!/s!, a_s = pairings[s] times
-        the common denominator D of the pairings, and divided by D n! once."""
+        """chi of the twisted sections bundle: sum (-1)^s pairings[s]/s!, summed
+        in integers over the common denominator D n! and divided once."""
         den = math.lcm(*(p.denominator for p in self.pairings))
         total, weight = 0, 1  # weight = n!/s!
-        for s in range(self.n, -1, -1):
-            p = self.pairings[s]
-            if p:
-                total += (-1) ** s * weight * (p.numerator * (den // p.denominator))
+        for s, p in zip(range(self.n, -1, -1), reversed(self.pairings)):
+            total += (-1) ** s * p.numerator * (den // p.denominator) * weight
             weight *= s
         return Fraction(total, den * math.factorial(self.n))
 
@@ -479,6 +479,7 @@ def curve_acyclic_data(g: int, r0: int, deg_E0: int, m: int) -> AcyclicData:
     still evaluates to the same polynomial, but the projective-bundle
     description is the caller's claim; a warning is issued.
     """
+    g, r0, deg_E0, m = map(operator.index, (g, r0, deg_E0, m))
     if r0 < 1:
         raise ValueError("r0 must be positive")
     if not deg_E0 > r0 * m + 2 * r0 * (g - 1):

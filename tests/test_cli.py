@@ -1,12 +1,11 @@
 import gc
-import io
 import itertools
 import json
 import random
-import subprocess
-import sys
+import time
 from fractions import Fraction
 
+from clirun import ACYCLIC, run_main, run_python
 from quotvol import cli
 from quotvol.abelian import AcyclicData, CurveQuotProblem
 from quotvol.cli import parse_fraction, parse_jobspec, render_latex, render_plain, run_job
@@ -17,38 +16,30 @@ from quotvol.scalars import TPoly
 import pytest
 
 
-# a valid acyclic-volume document: genus 1, d = 1, deg_E = -1
-ACYCLIC = {"command": "acyclic-volume", "n_dim": 1, "q": 1, "deg_E": "-1/1",
-           "pairings": ["0/1", "-1/1"], "h": [[0, 1], [-1, 0]],
-           "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}
 # the same form given twice, and one index set given twice in a form
 TWO_KAPPA_FORMS = [*ACYCLIC["kappa"],
                    {"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "5/1"}]}]
 REPEATED_INDICES = [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"},
                                                {"indices": [1, 2], "coeff": "5/1"}]}]
 
-
-def run_cli(args, stdin_text=""):
-    return subprocess.run(
-        [sys.executable, "-m", "quotvol.cli", *args],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-    )
+# the CLI as a process: ``python -m quotvol.cli``
+CLI = ("-m", "quotvol.cli")
+# a plain quot-volume job by flags alone: volume = ttilde + 2
+FLAGS = ["--g", "2", "--r", "2", "--l", "1,1", "--d", "1", "--format", "plain"]
 
 
 def test_quot_volume_plain():
     doc = {"command": "quot-volume", "g": 2, "r": 2, "l": [1, 1], "d": 1, "format": "plain"}
-    proc = run_cli(["quot-volume"], json.dumps(doc))
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "volume = \U0001d531 + 2"
+    code, out, err = run_python(*CLI, "quot-volume", stdin=json.dumps(doc))
+    assert code == 0
+    assert out.strip() == "volume = \U0001d531 + 2"
 
 
 def test_grothendieck_degree_json():
     doc = {"command": "grothendieck-degree", "g": 0, "r": 2, "l": [0, 0], "d": 1, "n": 4}
-    proc = run_cli(["grothendieck-degree"], json.dumps(doc))
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
+    code, out, err = run_python(*CLI, "grothendieck-degree", stdin=json.dumps(doc))
+    assert code == 0
+    out = json.loads(out)
     assert out["schema"] == 1
     assert out["degree"] == 8
     assert out["volume"]["variable"] == "ttilde"
@@ -56,23 +47,23 @@ def test_grothendieck_degree_json():
 
 def test_verify_suite():
     doc = {"command": "verify", "suite": "weight-independence", "r": 2, "d": 2, "g": 1, "l": [2, 0]}
-    proc = run_cli(["verify"], json.dumps(doc))
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
+    code, out, err = run_python(*CLI, "verify", stdin=json.dumps(doc))
+    assert code == 0
+    out = json.loads(out)
     assert out["verify"]["pass"] is True
     assert out["verify"]["candidates"] == 3
 
 
 def test_flag_overrides_without_stdin():
-    proc = run_cli(["quot-volume", "--g", "2", "--r", "2", "--l", "1,1", "--d", "1", "--format", "plain"])
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "volume = \U0001d531 + 2"
+    code, out, err = run_python(*CLI, "quot-volume", *FLAGS)
+    assert code == 0
+    assert out.strip() == "volume = \U0001d531 + 2"
 
 
 def test_abelian_volume():
-    proc = run_cli(["abelian-volume", "--g", "1", "--l", "1", "--d", "1"])
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
+    code, out, err = run_python(*CLI, "abelian-volume", "--g", "1", "--l", "1", "--d", "1")
+    assert code == 0
+    out = json.loads(out)
     # deg_E = l - d = 0, so v = ttilde + 1
     assert out["volume"]["coefficients"] == ["1/1", "1/1"]
     assert out["unnormalized"]["expression"] == "(4*pi^2)^1 * volume"
@@ -83,9 +74,9 @@ def test_abelian_volume_with_pi_probe():
         "command": "abelian-volume", "g": 0, "l": [0], "d": 2,
         "t": {"mode": "physical-t", "value": "1/2", "vol_X": "100/1", "pi_probe": "3/1"},
     }
-    proc = run_cli(["abelian-volume"], json.dumps(doc))
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
+    code, out, err = run_python(*CLI, "abelian-volume", stdin=json.dumps(doc))
+    assert code == 0
+    out = json.loads(out)
     t = out["t"]
     assert t["exact"] is False
     # ttilde = t vol/(2 pi) = 25/3; v = (ttilde - 2)^2/2
@@ -97,26 +88,28 @@ def test_abelian_volume_with_pi_probe():
 
 
 def test_ttilde_value_flag():
-    proc = run_cli(["quot-volume", "--g", "2", "--r", "2", "--l", "1,1", "--d", "1", "--ttilde", "3/2"])
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
+    code, out, err = run_python(*CLI, "quot-volume", "--g", "2", "--r", "2", "--l", "1,1",
+                                "--d", "1", "--ttilde", "3/2")
+    assert code == 0
+    out = json.loads(out)
     assert out["t"]["value"] == "7/2"  # (3/2) + 2
 
 
 def test_negative_flag_values_as_their_own_argument():
     base = ["quot-volume", "--g", "2", "--r", "2", "--d", "1"]
-    apart = run_cli([*base, "--l", "-1,3", "--ttilde", "-3/2"])
-    joined = run_cli([*base, "--l=-1,3", "--ttilde=-3/2"])
-    assert apart.returncode == joined.returncode == 0, apart.stderr
-    assert apart.stdout == joined.stdout
-    assert json.loads(apart.stdout)["t"]["value"] == "1/2"  # (-3/2) + 2
-    assert run_cli([*base, "--l", "0,0", "--ttilde", "--format"]).returncode == 2
+    apart = run_python(*CLI, *base, "--l", "-1,3", "--ttilde", "-3/2")
+    joined = run_python(*CLI, *base, "--l=-1,3", "--ttilde=-3/2")
+    assert apart[0] == joined[0] == 0, apart[2]
+    assert apart[1] == joined[1]
+    assert json.loads(apart[1])["t"]["value"] == "1/2"  # (-3/2) + 2
+    assert run_python(*CLI, *base, "--l", "0,0", "--ttilde", "--format")[0] == 2
 
 
 def test_acyclic_volume_json():
-    proc = run_cli(["acyclic-volume"], json.dumps({"schema": 1, **ACYCLIC}))
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
+    code, out, err = run_python(*CLI, "acyclic-volume",
+                                stdin=json.dumps({"schema": 1, **ACYCLIC}))
+    assert code == 0
+    out = json.loads(out)
     # genus 1, d = 1, deg_E = -1: volume = ttilde
     assert out["volume"]["coefficients"] == ["0/1", "1/1"]
 
@@ -128,9 +121,9 @@ def test_acyclic_physical_t_uses_base_dimension_factorial():
         "pairings": ["4/1", "0/1", "0/1", "6/1"], "h": [],
         "t": {"mode": "physical-t", "value": "1/2", "vol_X": "10/1", "pi_probe": "5/1"},
     }
-    proc = run_cli(["acyclic-volume"], json.dumps(doc))
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
+    code, out, err = run_python(*CLI, "acyclic-volume", stdin=json.dumps(doc))
+    assert code == 0
+    out = json.loads(out)
     # R = 4 - 6/6 = 3, N = 2, volume = (1 + ttilde)^2/2
     assert out["volume"]["coefficients"] == ["1/2", "1/1", "1/2"]
     t = out["t"]
@@ -141,16 +134,16 @@ def test_acyclic_physical_t_uses_base_dimension_factorial():
 
 def test_sweep_rows_and_empty_range():
     doc = {"command": "sweep", "r": 2, "g": 1, "l": [0, 0], "d_values": [0, 1, 2]}
-    proc = run_cli(["sweep"], json.dumps(doc))
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
+    code, out, err = run_python(*CLI, "sweep", stdin=json.dumps(doc))
+    assert code == 0
+    out = json.loads(out)
     assert len(out["rows"]) == 3
     assert out["rows"][0]["volume"]["coefficients"] == ["1/1"]
 
     doc = {"command": "sweep", "r": 2, "g": 1, "l": [0, 0], "d_values": []}
-    proc = run_cli(["sweep"], json.dumps(doc))
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["rows"] == []
+    code, out, err = run_python(*CLI, "sweep", stdin=json.dumps(doc))
+    assert code == 0
+    assert json.loads(out)["rows"] == []
 
 
 def test_sweep_partitions_agree():
@@ -158,63 +151,59 @@ def test_sweep_partitions_agree():
         "command": "sweep", "r": 2, "g": 1, "d": 2,
         "l_partitions": [[4, 0], [3, 1], [2, 2]],
     }
-    proc = run_cli(["sweep"], json.dumps(doc))
-    assert proc.returncode == 0
-    rows = json.loads(proc.stdout)["rows"]
+    code, out, err = run_python(*CLI, "sweep", stdin=json.dumps(doc))
+    assert code == 0
+    rows = json.loads(out)["rows"]
     assert len(rows) == 3
     assert len({tuple(r["volume"]["coefficients"]) for r in rows}) == 1
 
 
 def test_exit_code_on_input_error():
-    proc = run_cli(["quot-volume"], json.dumps({"g": 1}))
-    assert proc.returncode == 2
-    assert "input error" in proc.stderr
+    code, out, err = run_python(*CLI, "quot-volume", stdin=json.dumps({"g": 1}))
+    assert code == 2
+    assert "input error" in err
 
-    proc = run_cli(["quot-volume"], "this is not json")
-    assert proc.returncode == 2
+    code, out, err = run_python(*CLI, "quot-volume", stdin="this is not json")
+    assert code == 2
 
-    proc = run_cli(["quot-volume", "--g", "x"])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("input error at 'g'")
+    code, out, err = run_python(*CLI, "quot-volume", "--g", "x")
+    assert code == 2
+    assert err.startswith("input error at 'g'")
 
     doc = {"command": "quot-volume", "schema": 99, "g": 0, "r": 1, "l": [0], "d": 0}
-    proc = run_cli(["quot-volume"], json.dumps(doc))
-    assert proc.returncode == 2
-    assert "schema" in proc.stderr
+    code, out, err = run_python(*CLI, "quot-volume", stdin=json.dumps(doc))
+    assert code == 2
+    assert "schema" in err
 
 
-def test_exit_code_on_computation_error(monkeypatch, capsys):
+def test_exit_code_on_computation_error(monkeypatch):
     # input validation catches every bad acyclic document, so fail the algebra
     # layer directly to pin the exit code of a computation error
-    import io
-
-    import quotvol.cli as cli
-
     def failing(data):
         raise ArithmeticError("integrality violated")
 
     monkeypatch.setattr(cli, "acyclic_volume", failing)
     doc = {"n_dim": 1, "q": 0, "deg_E": "0/1", "pairings": ["1/1", "0/1"], "h": []}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-    assert cli.main(["acyclic-volume"]) == 3
-    assert "computation error" in capsys.readouterr().err
+    code, _, err = run_main(["acyclic-volume"], json.dumps(doc))
+    assert code == 3
+    assert "computation error" in err
 
 
 def test_stdout_deterministic_and_round_trips():
     doc = {"command": "quot-volume", "g": 1, "r": 2, "l": [2, 0], "d": 2}
-    first = run_cli(["quot-volume"], json.dumps(doc))
-    second = run_cli(["quot-volume"], json.dumps(doc))
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
-    reparsed = json.dumps(json.loads(first.stdout), indent=2)
-    assert reparsed == first.stdout.strip()
+    first = run_python(*CLI, "quot-volume", stdin=json.dumps(doc))
+    second = run_python(*CLI, "quot-volume", stdin=json.dumps(doc))
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    reparsed = json.dumps(json.loads(first[1]), indent=2)
+    assert reparsed == first[1].strip()
 
 
 def test_latex_format():
     doc = {"command": "quot-volume", "g": 0, "r": 2, "l": [1, 0], "d": 1, "format": "latex"}
-    proc = run_cli(["quot-volume"], json.dumps(doc))
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
+    code, out, err = run_python(*CLI, "quot-volume", stdin=json.dumps(doc))
+    assert code == 0
+    out = json.loads(out)
     assert out["latex"] == r"\mathfrak{t} - \frac{1}{2}"
 
 
@@ -280,22 +269,23 @@ def test_run_job_directly():
 def test_verify_rejects_single_weight_vector():
     doc = {"command": "verify", "g": 0, "r": 2, "l": [0, 0], "d": 1,
            "weights": [["0/1", "1/1"]]}
-    proc = run_cli(["verify"], json.dumps(doc))
-    assert proc.returncode == 2
-    assert "at least two" in proc.stderr
+    code, out, err = run_python(*CLI, "verify", stdin=json.dumps(doc))
+    assert code == 2
+    assert "at least two" in err
 
 
 def test_negative_colength_flag_is_an_input_error():
-    proc = run_cli(["quot-volume", "--g", "1", "--r", "2", "--l", "0,0", "--d", "-1"])
-    assert proc.returncode == 2
-    assert "input error at 'd'" in proc.stderr
+    code, out, err = run_python(*CLI, "quot-volume", "--g", "1", "--r", "2", "--l", "0,0",
+                                "--d", "-1")
+    assert code == 2
+    assert "input error at 'd'" in err
 
 
 def test_negative_sweep_genus_is_an_input_error():
     doc = {"command": "sweep", "r": 2, "g_values": [-1], "d": 1, "l": [0, 0]}
-    proc = run_cli(["sweep"], json.dumps(doc))
-    assert proc.returncode == 2
-    assert "input error at 'g_values[0]'" in proc.stderr
+    code, out, err = run_python(*CLI, "sweep", stdin=json.dumps(doc))
+    assert code == 2
+    assert "input error at 'g_values[0]'" in err
 
 
 @pytest.mark.parametrize(
@@ -362,29 +352,30 @@ def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):
                                     {"kappa": []}, {"kappa": TWO_KAPPA_FORMS},
                                     {"kappa": REPEATED_INDICES}])
 def test_bad_acyclic_input_exits_2(change):
-    proc = run_cli(["acyclic-volume"], json.dumps({**ACYCLIC, **change}))
-    assert proc.returncode == 2, proc.stderr
-    assert "input error at" in proc.stderr
+    code, out, err = run_python(*CLI, "acyclic-volume", stdin=json.dumps({**ACYCLIC, **change}))
+    assert code == 2, err
+    assert "input error at" in err
 
 
 def test_huge_q_acyclic_input_exits_2_quickly():
     """q = 10**9 with one kappa form: the completeness check over (i, s) must
     not walk every i <= q before the 2 x 2 h is refused."""
-    doc = {**ACYCLIC, "q": 10**9}
-    proc = subprocess.run([sys.executable, "-m", "quotvol.cli", "acyclic-volume"],
-                          input=json.dumps(doc), capture_output=True, text=True, timeout=10)
-    assert proc.returncode == 2, proc.stderr
-    assert "input error at 'h'" in proc.stderr
+    started = time.perf_counter()
+    code, _, err = run_python(*CLI, "acyclic-volume", stdin=json.dumps({**ACYCLIC, "q": 10**9}))
+    assert time.perf_counter() - started < 10.0
+    assert code == 2, err
+    assert "input error at 'h'" in err
 
 
 def test_verify_at_r_900_without_weights_exits_2_quickly():
     """The seeded default candidate draws from 899 distinct rationals, so at
     r = 900 it could never finish: the job is refused before drawing."""
     doc = {"command": "verify", "g": 0, "r": 900, "l": [0] * 900, "d": 0}
-    proc = subprocess.run([sys.executable, "-m", "quotvol.cli", "verify"],
-                          input=json.dumps(doc), capture_output=True, text=True, timeout=10)
-    assert proc.returncode == 2, proc.stderr
-    assert "input error at 'weights'" in proc.stderr
+    started = time.perf_counter()
+    code, _, err = run_python(*CLI, "verify", stdin=json.dumps(doc))
+    assert time.perf_counter() - started < 10.0
+    assert code == 2, err
+    assert "input error at 'weights'" in err
 
 
 @pytest.mark.parametrize("doc", [
@@ -404,17 +395,6 @@ def test_sweep_rows_equal_weighted_quot_volume_jobs(doc):
 # ---------------------------------------------------------------------------
 # the argv reader
 
-FLAGS = ["--g", "2", "--r", "2", "--l", "1,1", "--d", "1", "--format", "plain"]
-
-
-def main_in_process(argv, monkeypatch, capsys):
-    """``cli.main(argv)`` on an empty stdin: exit code, stdout, stderr."""
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
-    code = cli.main(argv)
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 @pytest.mark.parametrize("argv, field", [
     (["quot-volume", "--g", "x", "--r", "2"], "g"),             # an integer flag that does not parse
     (["quot-volume", "--d=1.5"], "d"),
@@ -427,16 +407,16 @@ def main_in_process(argv, monkeypatch, capsys):
     (["quot-volume", "--g", "1", "2"], "command"),            # a stray value
     (["quot_volume"], "command"),                             # unknown command
 ])
-def test_argv_errors_exit_2_naming_the_field(argv, field, monkeypatch, capsys):
-    code, out, err = main_in_process(argv, monkeypatch, capsys)
+def test_argv_errors_exit_2_naming_the_field(argv, field):
+    code, out, err = run_main(argv)
     assert code == 2
     assert out == ""
     assert err.startswith(f"input error at {field!r}:"), err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["quot-volume", "--g", "1", "-h"]])
-def test_help_prints_the_usage_line_and_exits_0(argv, monkeypatch, capsys):
-    code, out, err = main_in_process(argv, monkeypatch, capsys)
+def test_help_prints_the_usage_line_and_exits_0(argv):
+    code, out, err = run_main(argv)
     assert code == 0
     assert out == cli.USAGE + "\n"
     assert out.startswith("usage: quotvol {abelian-volume,")
@@ -449,10 +429,10 @@ def test_help_prints_the_usage_line_and_exits_0(argv, monkeypatch, capsys):
     ["quot-volume", "--g=2", "--r=2", "--l=1,1", "--d=1", "--format=plain"],
     ["quot-volume", "--g", "7", "--format", "latex", *FLAGS],  # the last of a repeated flag wins
 ])
-def test_flags_stand_anywhere_and_the_last_one_wins(argv, monkeypatch, capsys):
-    want = main_in_process(["quot-volume", *FLAGS], monkeypatch, capsys)[1]
+def test_flags_stand_anywhere_and_the_last_one_wins(argv):
+    want = run_main(["quot-volume", *FLAGS])[1]
     assert want.strip() == "volume = \U0001d531 + 2"
-    code, out, _ = main_in_process(argv, monkeypatch, capsys)
+    code, out, _ = run_main(argv)
     assert code == 0
     assert out == want
 
@@ -462,31 +442,33 @@ def test_read_argv_converts_integer_flags_only():
     assert args == {"command": "sweep", "r": -3, "l": "-1,2", "file": "", "n": 4}
 
 
-def test_undecodable_file_is_an_input_error(tmp_path, monkeypatch, capsys):
+def test_undecodable_file_is_an_input_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{}")
-    code, out, err = main_in_process(["quot-volume", "--file", str(bad)], monkeypatch, capsys)
+    code, out, err = run_main(["quot-volume", "--file", str(bad)])
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err.startswith("input error at 'file': 'utf-8' codec can't decode"), err
 
 
-def test_undecodable_stdin_is_an_input_error(monkeypatch, capsys):
-    strict = io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8", errors="strict")
-    monkeypatch.setattr("sys.stdin", strict)
-    code = cli.main(["quot-volume"])
-    out, err = capsys.readouterr()
+def test_undecodable_stdin_is_an_input_error():
+    code, out, err = run_main(["quot-volume"], b"\xff{}")
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err.startswith("input error at '$': 'utf-8' codec can't decode"), err
 
 
-@pytest.mark.parametrize("schema, text", [(True, "true"), ("2", '"2"')])
-def test_schema_error_spells_the_value_as_json(schema, text, monkeypatch, capsys):
-    doc = {"command": "quot-volume", "schema": schema, "g": 1, "r": 2, "l": [0, 0], "d": 1}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-    assert cli.main(["quot-volume"]) == cli.EXIT_INPUT
-    assert capsys.readouterr().err == f"input error at 'schema': unsupported schema version {text}\n"
+@pytest.mark.parametrize("change, error", [
+    ({"schema": True}, "'schema': unsupported schema version true"),
+    ({"schema": "2"}, "'schema': unsupported schema version \"2\""),
+    ({"suite": "x"}, "'suite': unknown suite \"x\""),
+    ({"t": {"mode": "x"}}, "'t.mode': unknown mode \"x\""),
+], ids=["True-true", '2-"2"', "suite", "t.mode"])
+def test_schema_error_spells_the_value_as_json(change, error):
+    """A bad schema, suite or t.mode is named as the job document spells it."""
+    doc = {"command": "verify", "g": 1, "r": 2, "l": [0, 0], "d": 1, **change}
+    assert run_main(["verify"], json.dumps(doc)) == (cli.EXIT_INPUT, "",
+                                                     f"input error at {error}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -514,35 +496,30 @@ def dense_acyclic_latex_doc():
             "deg_E": "-3/2", "pairings": [3, -1, -4], "h": h, "kappa": kappa}
 
 
-def test_main_in_process_does_not_freeze(monkeypatch, capsys):
+def test_main_in_process_does_not_freeze():
     before = gc.get_freeze_count()
-    assert main_in_process(["quot-volume", *FLAGS], monkeypatch, capsys)[0] == 0
+    assert run_main(["quot-volume", *FLAGS])[0] == 0
     assert gc.get_freeze_count() == before
 
 
-def test_module_as_main_freezes_before_atexit_and_prints_main_bytes(monkeypatch, capsys):
-    want = main_in_process(["quot-volume", *FLAGS], monkeypatch, capsys)[1]
-    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, "quot-volume", *FLAGS],
-                          input="", capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == want
-    count = int(proc.stderr.splitlines()[-1].removeprefix("freeze_count="))
+def test_module_as_main_freezes_before_atexit_and_prints_main_bytes():
+    want = run_main(["quot-volume", *FLAGS])[1]
+    code, out, err = run_python("-c", FREEZE_PROBE, "quot-volume", *FLAGS)
+    assert code == 0, err
+    assert out == want
+    count = int(err.splitlines()[-1].removeprefix("freeze_count="))
     assert count > 0
 
 
-def test_large_stdout_arrives_whole_through_a_pipe(monkeypatch, capsys):
+def test_large_stdout_arrives_whole_through_a_pipe():
     doc = json.dumps(dense_acyclic_latex_doc())
-    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-    assert cli.main(["acyclic-volume"]) == 0
-    want = capsys.readouterr().out
-    assert len(want) > 90_000
+    code, want, _ = run_main(["acyclic-volume"], doc)
+    assert code == 0 and len(want) > 90_000
     # a block-buffered stdout, as a process has by default on a pipe: an exit
     # that skips the flush (os._exit) loses its last block
-    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-    proc = run_cli(["acyclic-volume"], doc)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == want
+    code, out, err = run_python(*CLI, "acyclic-volume", stdin=doc)
+    assert code == 0, err
+    assert out == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Every input check runs before any computation and names the field."""
 
-import io
 import json
 import sys
 
 import pytest
 
-from quotvol import cli
+from clirun import run_main
 from quotvol.cli import InputError, parse_jobspec
 
 QV = {"command": "quot-volume", "g": 1, "r": 2, "l": [0, 0], "d": 1}
@@ -32,34 +31,23 @@ def test_weight_vectors_are_checked_by_parse_jobspec(doc, field_name):
     assert info.value.field_name == field_name
 
 
-def run_main(argv, stdin_text, capsys):
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin_text)
-    try:
-        code = cli.main(argv)
-    finally:
-        sys.stdin = saved
-    return code, capsys.readouterr().err
-
-
-def test_ttilde_flag_over_a_t_that_is_not_an_object(capsys):
-    code, err = run_main(["quot-volume", "--ttilde", "1/2"], json.dumps({**QV, "t": "x"}),
-                         capsys)
+def test_ttilde_flag_over_a_t_that_is_not_an_object():
+    code, _, err = run_main(["quot-volume", "--ttilde", "1/2"], json.dumps({**QV, "t": "x"}))
     assert code == 2
     assert err.startswith("input error at 't'")
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="no int-string digit limit (Python < 3.11, or turned off)")
-def test_integer_past_the_digit_limit_is_an_input_error(capsys):
+def test_integer_past_the_digit_limit_is_an_input_error():
     text = json.dumps(QV)[:-1] + ', "note": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}"
-    code, err = run_main(["quot-volume"], text, capsys)
+    code, _, err = run_main(["quot-volume"], text)
     assert code == 2
     assert err.startswith("input error at '$'")
 
 
-def test_nesting_past_the_recursion_limit_is_an_input_error(capsys):
+def test_nesting_past_the_recursion_limit_is_an_input_error():
     depth = sys.getrecursionlimit() + 10
-    code, err = run_main(["quot-volume"], "[" * depth + "]" * depth, capsys)
+    code, _, err = run_main(["quot-volume"], "[" * depth + "]" * depth)
     assert code == 2
     assert err.startswith("input error at '$'")

@@ -8,7 +8,9 @@ here, not proved.  Past r d = 24 the closed form is held to pins recorded
 from a ``Fraction`` implementation of the same series (r d up to 200) and to
 facts that hold at every size: Grothendieck degrees are non-negative
 integers, the degree in ``ttilde`` is d with a known leading coefficient, and
-r = 1 is the symmetric power (d = 100).
+r = 1 is the symmetric power (d = 100).  At r = 2, where zeta = -1 and every
+series is rational, the group-ring logarithm ``_log_a`` is also held to the
+product that defines A_2.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotvol.abelian import CurveQuotProblem, symmetric_power_volume
-from quotvol.closed import closed_volume
+from quotvol.closed import _log_a, closed_volume
 from quotvol.grothendieck import grothendieck_degree
 from quotvol.localization import QuotProblem, quot_volume
 
@@ -142,3 +144,32 @@ def test_rank_one_is_the_symmetric_power_at_large_d(g, l):
     d = 100
     expected = symmetric_power_volume(CurveQuotProblem(g=g, deg_E=l - d, d=d))
     assert closed_volume(QuotProblem(g=g, r=1, l=(l,), d=d)) == expected
+
+
+def _series_log(f, n):
+    """``log f`` to order v^n for a series with ``f[0] == 1``:
+    ``k L_k = k f_k - sum_(j<k) j L_j f_(k-j)``."""
+    log = [Fraction(0)] * (n + 1)
+    for k in range(1, n + 1):
+        log[k] = (k * f[k] - sum(j * log[j] * f[k - j] for j in range(1, k))) / k
+    return log
+
+
+def test_log_a_at_rank_two_is_the_log_of_the_product():
+    """log A_2 = log(1 - T_0) + log(1 - T_1) + T_0 + T_1 - 2 log((T_0 - T_1)/(2v)),
+    T_0 = T(v), T_1 = T(-v), T_m = m^(m-1)/m!, taken as a series in v and
+    read at v^2 = -q/4: its q^k coefficient is 4 (-1)^k a_k / ((2k)! 4^k) with
+    a_k = ``_log_a(2, K)[k-1]``."""
+    K = 12
+    n = 2 * K
+    t0 = [Fraction(0)] + [Fraction(m ** (m - 1), math.factorial(m)) for m in range(1, n + 2)]
+    t1 = [(-1) ** m * c for m, c in enumerate(t0)]
+    quotient = [(t0[m + 1] - t1[m + 1]) / 2 for m in range(n + 1)]  # (T_0 - T_1)/(2v)
+    logs = [_series_log([1 - c if m == 0 else -c for m, c in enumerate(t[:n + 1])], n)
+            for t in (t0, t1)]
+    log_a2 = [logs[0][m] + logs[1][m] + t0[m] + t1[m] - 2 * x
+              for m, x in enumerate(_series_log(quotient, n))]
+    assert all(log_a2[m] == 0 for m in range(1, n + 1, 2))
+    for k, a in enumerate(_log_a(2, K), 1):
+        assert log_a2[2 * k] * Fraction(-1, 4) ** k == Fraction(4 * (-1) ** k * a,
+                                                                math.factorial(2 * k) * 4 ** k), k

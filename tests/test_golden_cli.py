@@ -4,49 +4,39 @@ Each case in ``golden_cli.json`` is an argv plus a stdin document (an object
 is sent as ``json.dumps`` of it, a string as is).  It pins the SHA-256 of
 stdout, the exit code and, for an input error, the ``input error at
 '<field>'`` prefix of the error line.  Warnings are not pinned: they carry
-source line numbers.
+source line numbers.  Every case runs in process; nine of them (one json
+result per command, the help text and two input errors) also run through
+``python -m quotvol.cli``, to hold a real process to the same pins.
 
 The test only reads the corpus.  After a deliberate output change, re-record
 it with ``PYTHONPATH=src python tests/test_golden_cli.py --record``.
 """
 
 import hashlib
-import io
 import json
 import re
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from clirun import run_main, run_python
 from quotvol import cli
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
 CASES = json.loads(CORPUS.read_text(encoding="utf-8"))
 ERROR_PREFIX = re.compile(r"^(input error at '[^']*'|computation error)", re.MULTILINE)
+PROCESS_CASES = [c for c in CASES if c["id"].endswith("-json-symbolic")
+                 or c["id"] in ("argv-help", "error-bad-json", "error-argv-unknown-flag")]
 
 
-def run_case(case: dict) -> tuple[int, str, str]:
-    """Run ``cli.main`` in-process; return the exit code, stdout and stderr."""
+def stdin_text(case: dict) -> str:
     stdin = case["stdin"]
-    text = "" if stdin is None else stdin if isinstance(stdin, str) else json.dumps(stdin)
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(case["argv"])
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
+    return "" if stdin is None else stdin if isinstance(stdin, str) else json.dumps(stdin)
 
 
-def expectations(case: dict) -> dict:
-    code, out, err = run_case(case)
+def expectations(code: int, out: str, err: str) -> dict:
+    """What the corpus pins of one run: exit code, stdout hash, error prefix."""
     match = ERROR_PREFIX.search(err)
     return {
         "exit": code,
@@ -55,10 +45,19 @@ def expectations(case: dict) -> dict:
     }
 
 
+def pinned(case: dict) -> dict:
+    return {k: case[k] for k in ("exit", "stdout_sha256", "error")}
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_golden_cli_case(case):
-    want = {k: case[k] for k in ("exit", "stdout_sha256", "error")}
-    assert expectations(case) == want
+    assert expectations(*run_main(case["argv"], stdin_text(case))) == pinned(case)
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES, ids=[c["id"] for c in PROCESS_CASES])
+def test_golden_cli_case_through_a_process(case):
+    run = run_python("-m", "quotvol.cli", *case["argv"], stdin=stdin_text(case))
+    assert expectations(*run) == pinned(case)
 
 
 def test_golden_corpus_covers_every_command_format_and_t_mode():
@@ -74,7 +73,7 @@ def test_golden_corpus_covers_every_command_format_and_t_mode():
 
 
 def _record():
-    cases = [{**c, **expectations(c)} for c in CASES]
+    cases = [{**c, **expectations(*run_main(c["argv"], stdin_text(c)))} for c in CASES]
     lines = ",\n".join(json.dumps(c, ensure_ascii=False) for c in cases)
     CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
 

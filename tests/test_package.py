@@ -1,14 +1,13 @@
 """The package root re-exports each library module's public names, once each
 and in module order, as the very objects the modules define."""
 
-import os
-import subprocess
-import sys
+import json
 from pathlib import Path
 
 import pytest
 
 import quotvol
+from clirun import ACYCLIC, run_python
 from quotvol import abelian, closed, exterior, grothendieck, localization, scalars
 
 MODULES = (scalars, exterior, abelian, localization, grothendieck, closed)
@@ -77,13 +76,11 @@ exec("from quotvol import *", names)
 assert set(quotvol.__all__) <= set(names), "import * lost names"
 """
 
+# the job document comes on the child's stdin
 ACYCLIC_JOB = """
-import io, json, sys
+import sys
 from quotvol import cli
 assert "quotvol.exterior" not in sys.modules
-sys.stdin = io.StringIO(json.dumps({"n_dim": 1, "q": 1, "deg_E": "-1/1",
-    "pairings": ["0/1", "-1/1"], "h": [[0, 1], [-1, 0]],
-    "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}))
 assert cli.main(["acyclic-volume", "--format", "plain"]) == 0
 assert "quotvol.exterior" in sys.modules
 """
@@ -92,9 +89,12 @@ assert "quotvol.exterior" in sys.modules
 # Every command's job leaves the series oracle unloaded, and only the acyclic
 # job (run last) loads the exterior algebra; the names the tracer patches on
 # ``scalars`` and ``localization`` still resolve, to the oracle's own objects.
+# The jobs run in process through ``clirun``, imported from the directory
+# named by the first argument.
 ORACLE_UNLOADED = """
-import io, json, sys
-from quotvol import cli
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from clirun import ACYCLIC, run_main
 jobs = [
     (["abelian-volume"], {"g": 1, "l": [3], "d": 2}),
     (["quot-volume"], {"g": 1, "r": 2, "l": [0, 1], "d": 2}),
@@ -102,13 +102,11 @@ jobs = [
     (["grothendieck-degree"], {"g": 0, "r": 2, "l": [0, 0], "d": 1, "n": 4}),
     (["verify"], {"g": 1, "r": 3, "l": [0, 1, 2], "d": 1}),
     (["sweep"], {"r": 2, "g_values": [0, 1], "d": 1, "l": [0, 0]}),
-    (["acyclic-volume"], {"n_dim": 1, "q": 1, "deg_E": "-1/1", "pairings": ["0/1", "-1/1"],
-        "h": [[0, 1], [-1, 0]],
-        "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}),
+    (["acyclic-volume"], ACYCLIC),
 ]
 for argv, doc in jobs:
-    sys.stdin = io.StringIO(json.dumps(doc))
-    assert cli.main(argv) == 0, argv
+    code, _, err = run_main(argv, json.dumps(doc))
+    assert code == 0, (argv, err)
     assert "quotvol._oracle" not in sys.modules, argv
     assert ("quotvol.exterior" in sys.modules) == (argv == ["acyclic-volume"]), argv
 from quotvol import _oracle, localization, scalars
@@ -121,25 +119,17 @@ assert localization.series_pow_int is scalars.series_pow_int
 """
 
 
-def _run_fresh(script):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
-                    os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60)
-
-
 def test_cli_import_loads_neither_argparse_nor_exterior():
-    proc = _run_fresh(LAZY_IMPORTS)
-    assert proc.returncode == 0, proc.stderr
+    code, _, err = run_python("-c", LAZY_IMPORTS)
+    assert code == 0, err
 
 
 def test_acyclic_job_loads_exterior_on_demand():
-    proc = _run_fresh(ACYCLIC_JOB)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("volume = 𝔱\n"), proc.stdout
+    code, out, err = run_python("-c", ACYCLIC_JOB, stdin=json.dumps(ACYCLIC))
+    assert code == 0, err
+    assert out.startswith("volume = 𝔱\n"), out
 
 
 def test_no_cli_job_loads_the_series_oracle():
-    proc = _run_fresh(ORACLE_UNLOADED)
-    assert proc.returncode == 0, proc.stderr
+    code, _, err = run_python("-c", ORACLE_UNLOADED, str(Path(__file__).parent))
+    assert code == 0, err

@@ -7,17 +7,15 @@ quotvol.cli`` starts every ``quotvol`` process, so it must not pull in
 ``dataclasses`` (which imports ``inspect``, ``ast``, ``dis`` and ``tokenize``).
 """
 
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-from quotvol.abelian import AcyclicData, CurveQuotProblem
+from clirun import run_python
+from quotvol.abelian import AcyclicData, CurveQuotProblem, manton_nasir_check
 from quotvol.cli import JobSpec
-from quotvol.exterior import AltForm
+from quotvol.exterior import AltForm, curve_acyclic_data, theta_form
 from quotvol.grothendieck import EmbeddingParams, embedding_params, grothendieck_degree
 from quotvol.localization import (
     Composition,
@@ -26,8 +24,6 @@ from quotvol.localization import (
     WeightVector,
 )
 from quotvol.scalars import InputError, TPoly
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 H = ((0, 1), (-1, 0))
 
@@ -216,6 +212,10 @@ def test_input_error_is_one_value_error_class():
     lambda: EmbeddingParams(1.5, "x", None),
     lambda: EmbeddingParams(1, 2.0, 3),
     lambda: EmbeddingParams(1, 2, "3"),
+    lambda: theta_form(1, [[0, 0.1], [-0.1, 0]]),
+    lambda: curve_acyclic_data(1, 1, 4.5, 0.5),
+    lambda: manton_nasir_check(1, 1, 10.5, Fraction(3)),
+    lambda: manton_nasir_check(1, 1, Fraction(21, 2), 3.0),
 ])
 def test_constructors_refuse_inexact_numbers(build):
     """A float or a string is refused, not truncated or parsed."""
@@ -251,7 +251,6 @@ def test_jobspec_is_a_frozen_record():
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     code = ("import sys, quotvol.cli; "
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    exit_code, out, err = run_python("-c", code)
+    assert exit_code == 0, err
+    assert out.strip() == "[]"

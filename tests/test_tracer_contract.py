@@ -4,26 +4,20 @@
 library modules, then calls ``cli.main``.  That works only while ``cli``
 holds those functions as module attributes and looks them up at call time;
 a table that bound a function at import would run around the wrapper.  Each
-command runs once traced and once untraced in a subprocess: the stdout bytes
+command runs once traced and once untraced in a child process: the stdout bytes
 must agree and the spans must show the parse, the run and the library entry.
 The localization engine's span appears exactly when the job names torus
 weights or runs ``verify``; every other volume comes from the closed form.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+from clirun import ACYCLIC, run_python
 
-ACYCLIC = {"n_dim": 1, "q": 1, "deg_E": "-1/1", "pairings": ["0/1", "-1/1"],
-           "h": [[0, 1], [-1, 0]],
-           "kappa": [{"i": 1, "s": 0, "terms": [{"indices": [1, 2], "coeff": "1/1"}]}]}
+TRACER = str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
 
 # The closed form has no span of its own; its TPoly products show that it ran.
 CLOSED = "scalars.tpoly_mul"
@@ -52,22 +46,16 @@ JOBS = [
 ]
 
 
-def _run(cmd, doc):
-    return subprocess.run(cmd, input=json.dumps(doc).encode(), capture_output=True,
-                          env=ENV, cwd=ROOT)
-
-
 @pytest.mark.parametrize("argv, doc, library, localization", [job[1:] for job in JOBS],
                          ids=[job[0] for job in JOBS])
 def test_traced_run_matches_untraced_and_spans_every_layer(argv, doc, library, localization,
                                                            tmp_path):
     spans_out = tmp_path / "spans.json"
-    traced = _run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out),
-                   "0", "--", *argv], doc)
-    assert traced.returncode == 0, traced.stderr.decode()
-    untraced = _run([sys.executable, "-m", "quotvol.cli", *argv], doc)
-    assert untraced.returncode == 0, untraced.stderr.decode()
-    assert traced.stdout == untraced.stdout
+    traced = run_python(TRACER, str(spans_out), "0", "--", *argv, stdin=json.dumps(doc))
+    assert traced[0] == 0, traced[2]
+    untraced = run_python("-m", "quotvol.cli", *argv, stdin=json.dumps(doc))
+    assert untraced[0] == 0, untraced[2]
+    assert traced[1] == untraced[1]
 
     names = {span[3] for span in json.loads(spans_out.read_text())["spans"]}
     assert {"cli.parse_jobspec", "cli.run_job", library} <= names
