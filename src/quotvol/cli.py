@@ -30,7 +30,15 @@ from .localization import (
     quot_volume,
     verify_weight_independence,
 )
-from .scalars import InputError, Record, TPoly, _require_int, _require_int_list, parse_fraction
+from .scalars import (
+    InputError,
+    Record,
+    TPoly,
+    _ascii_int,
+    _require_int,
+    _require_int_list,
+    parse_fraction,
+)
 
 __all__ = ["JobSpec", "InputError", "parse_jobspec", "run_job", "main", "entry"]
 
@@ -388,8 +396,8 @@ def render_result_plain(result: dict) -> str:
 # argument parsing and entry point
 
 # Each flag's converter; a value it rejects is an input error naming the flag.
-_FLAGS = {"file": str, "g": int, "r": int, "l": str, "d": int, "n": int, "ttilde": str,
-          "format": str}
+_FLAGS = {"file": str, "g": _ascii_int, "r": _ascii_int, "l": str, "d": _ascii_int,
+          "n": _ascii_int, "ttilde": str, "format": str}
 USAGE = (f"usage: quotvol {{{','.join(COMMANDS)}}} [--file PATH] [--g G] [--r R] "
          "[--l L1,L2,...] [--d D] [--n N] [--ttilde T] [--format {json,latex,plain}]")
 
@@ -456,7 +464,7 @@ def _load_document(args: dict) -> dict:
             continue
         if name == "l":
             try:
-                value = [int(x) for x in value.split(",")]
+                value = [_ascii_int(x) for x in value.split(",")]
             except ValueError:
                 raise InputError("l", f"bad degree list {value!r}") from None
         elif name == "ttilde":
@@ -469,25 +477,32 @@ def _load_document(args: dict) -> dict:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one job; the input is read under Python's limit on the digits of an
+    integer turned into text or back, and the answer is computed and rendered
+    without it, so an exact result prints at any size."""
     started = time.perf_counter()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         args = _build_argparser(sys.argv[1:] if argv is None else argv)
         if args is None:
             print(USAGE)
             return EXIT_OK
         spec = parse_jobspec(_load_document(args))
+        if limit:
+            sys.set_int_max_str_digits(0)
         result = run_job(spec)
+        text = (render_result_plain(result) if spec.out_format == "plain"
+                else json.dumps(result, indent=2))
     except InputError as exc:
         print(f"input error {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-
-    if spec.out_format == "plain":
-        print(render_result_plain(result))
-    else:
-        print(json.dumps(result, indent=2))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(text)
     print(f"wall_time_s={time.perf_counter() - started:.6f}", file=sys.stderr)
     return EXIT_OK
 

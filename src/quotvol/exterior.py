@@ -1,19 +1,19 @@
 """Exterior algebra over a rank-2q lattice.
 
-A form is stored sparsely as a map from strictly increasing index tuples
-``I`` inside ``{1, ..., 2q}`` to ``Fraction`` coefficients.  Mixed-degree
+A form is stored sparsely as integer numerators over one positive
+denominator, in lowest terms, on strictly increasing index tuples ``I``
+inside ``{1, ..., 2q}``; ``terms`` reads them as ``Fraction``s.  Mixed-degree
 forms are allowed; ``degrees`` lists the degrees present.
 Evaluation against the standard basis is the coefficient of the full tuple
 ``(1, ..., 2q)``, so all pairing data must be expressed in a basis compatible
 with the complex orientation.
 
-All products run on one integer core.  A form becomes integer numerators
-over a common denominator, keyed by the mask with bit ``i`` set for ``i`` in
-``I``: two keys are disjoint when their masks are, and the shuffle sign of
-``I`` followed by ``J`` is the parity of ``(p_I & mask_J)``, where ``p_I`` is
-the XOR of ``(1 << i) - 1`` over ``i`` in ``I``.  ``_wedge_into`` is the one
-wedge loop and ``_top_int`` the top-degree pairing (each key meets only its
-complement); one ``Fraction`` is built per output coefficient.
+All products run on this integer core.  A key is the mask with bit ``i``
+set for ``i`` in ``I``: two keys are disjoint when their masks are, and the
+shuffle sign of ``I`` followed by ``J`` is the parity of ``(p_I & mask_J)``,
+where ``p_I`` is the XOR of ``(1 << i) - 1`` over ``i`` in ``I``.
+``_wedge_into`` is the one wedge loop and ``_top_int`` the top-degree
+pairing (each key meets only its complement).
 ``top_exp_poly`` runs a polynomial in t through the same core by Kronecker
 substitution: ``sum_k c_k t^k`` is the integer ``sum_k c_k 2^(wk)``.
 
@@ -71,23 +71,19 @@ def _key(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, n + 1) if mask >> i & 1)
 
 
-def _den(forms: Iterable[AltForm]) -> int:
-    """The least common denominator of the coefficients of ``forms``."""
-    return math.lcm(*(v.denominator for form in forms for v in form.terms.values()))
-
-
-def _ints(form: AltForm, den: int = 0) -> tuple[dict[int, int], int]:
-    """``form`` times ``den`` (by default its least common denominator) as
-    integers on bitmasks, and ``den``."""
-    den = den or _den([form])
-    return {sum(1 << i for i in key): v.numerator * (den // v.denominator)
-            for key, v in form.terms.items()}, den
+def _scaled(form: AltForm, den: int) -> dict[int, int]:
+    """The numerators of ``form`` over ``den``, a multiple of ``form.den``."""
+    f = den // form.den
+    return {m: c * f for m, c in form.ints.items()}
 
 
 def _form(q: int, ints: Mapping[int, int], den: int) -> AltForm:
-    """The form with coefficient ``ints[mask] / den`` on each key."""
+    """The form with coefficient ``ints[mask] / den`` on each key, in lowest
+    terms."""
+    g = math.gcd(den, *ints.values())
     result = AltForm(q)
-    result.terms = {_key(m, 2 * q): Fraction(c, den) for m, c in ints.items() if c}
+    result.ints = {m: c // g for m, c in ints.items() if c}
+    result.den = den // g
     return result
 
 
@@ -138,16 +134,18 @@ class AltForm:
     """Alternating multilinear form on a lattice of rank 2q.
 
     The coefficient on the key ``I = (i_1 < ... < i_k)`` is the value of the
-    form on the basis vectors indexed by ``I``.
+    form on the basis vectors indexed by ``I``.  It is held as the integer
+    ``ints[mask_I]`` over the positive ``den``, in lowest terms and without
+    zero entries; ``terms`` reads the coefficients as ``Fraction``s.
     """
 
-    __slots__ = ("q", "terms")
+    __slots__ = ("q", "ints", "den")
 
     def __init__(self, q: int, terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         if q < 0:
             raise ValueError("q must be non-negative")
         self.q = q
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[int, Fraction] = {}
         if terms:
             for key, val in terms.items():
                 key = tuple(key)
@@ -157,8 +155,14 @@ class AltForm:
                     raise ValueError(f"indices must be strictly increasing: {key!r}")
                 val = _as_fraction(val)
                 if val:
-                    out[key] = val
-        self.terms = out
+                    out[sum(1 << i for i in key)] = val
+        self.den = math.lcm(*(v.denominator for v in out.values()))
+        self.ints = {m: v.numerator * (self.den // v.denominator) for m, v in out.items()}
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as a new ``{index tuple: Fraction}`` dict."""
+        return {_key(m, 2 * self.q): Fraction(c, self.den) for m, c in self.ints.items()}
 
     @classmethod
     def zero(cls, q: int) -> AltForm:
@@ -178,42 +182,32 @@ class AltForm:
         return cls(q, {tuple(indices): 1})
 
     def degrees(self) -> set[int]:
-        return {len(k) for k in self.terms}
+        return {m.bit_count() for m in self.ints}
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.ints)
 
     def __add__(self, other):
         if not isinstance(other, AltForm):
             return NotImplemented
         if self.q != other.q:
             raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            s = out.get(key, Fraction(0)) + val
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        result = AltForm(self.q)
-        result.terms = out
-        return result
+        den = math.lcm(self.den, other.den)
+        out = _scaled(self, den)
+        for m, c in _scaled(other, den).items():
+            out[m] = out.get(m, 0) + c
+        return _form(self.q, out, den)
 
     def __neg__(self) -> AltForm:
-        result = AltForm(self.q)
-        result.terms = {k: -v for k, v in self.terms.items()}
-        return result
+        return _form(self.q, {m: -c for m, c in self.ints.items()}, self.den)
 
     def __mul__(self, scalar):
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
         if not isinstance(scalar, Fraction):
             return NotImplemented
-        if not scalar:
-            return AltForm(self.q)
-        result = AltForm(self.q)
-        result.terms = {k: v * scalar for k, v in self.terms.items()}
-        return result
+        num, den = scalar.numerator, self.den * scalar.denominator
+        return _form(self.q, {m: c * num for m, c in self.ints.items()}, den)
 
     __rmul__ = __mul__
 
@@ -223,16 +217,15 @@ class AltForm:
             raise TypeError("wedge expects an AltForm")
         if self.q != other.q:
             raise ValueError("rank mismatch")
-        (a, da), (b, db) = _ints(self), _ints(other)
-        return _form(self.q, _wedge_into({}, a, b), da * db)
+        return _form(self.q, _wedge_into({}, self.ints, other.ints), self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltForm):
             return NotImplemented
-        return self.q == other.q and self.terms == other.terms
+        return self.q == other.q and self.den == other.den and self.ints == other.ints
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.ints:
             return f"AltForm(q={self.q}, 0)"
         parts = [f"{key}: {val}" for key, val in sorted(self.terms.items())]
         return f"AltForm(q={self.q}, {{" + ", ".join(parts) + "})"
@@ -249,15 +242,15 @@ def exp_graded(q: int, pieces: Sequence[AltForm], top: int) -> list[AltForm]:
     """
     if any(f.q != q for f in pieces):
         raise ValueError("rank mismatch")
-    den = _den(pieces[:q])
-    out = _exp_int([_ints(f, den ** i)[0] for i, f in enumerate(pieces[:q], 1)], min(top, q), 2 * q)
+    den = math.lcm(*(f.den for f in pieces[:q]))
+    out = _exp_int([_scaled(f, den ** i) for i, f in enumerate(pieces[:q], 1)], min(top, q), 2 * q)
     return ([_form(q, e, math.factorial(j) * den ** j) for j, e in enumerate(out)]
             + [AltForm.zero(q) for _ in range(q + 1, top + 1)])
 
 
 def evaluate_top(a: AltForm):
     """Value of the top-degree component on the basis (1, ..., 2q)."""
-    return a.terms.get(tuple(range(1, 2 * a.q + 1)), Fraction(0))
+    return Fraction(a.ints.get((1 << (2 * a.q + 1)) - 2, 0), a.den)
 
 
 def top_exp_poly(theta: AltForm, pieces: Sequence[AltForm]) -> list[Fraction]:
@@ -287,9 +280,9 @@ def top_exp_poly(theta: AltForm, pieces: Sequence[AltForm]) -> list[Fraction]:
     q, n = theta.q, 2 * theta.q
     if any(f.q != q for f in pieces):
         raise ValueError("rank mismatch")
-    den = _den([theta, *pieces[:q]])
-    th = _ints(theta, den)[0]
-    f1, *high = [_ints(f, den ** i)[0] for i, f in enumerate(pieces[:q], 1)] or [{}]
+    den = math.lcm(theta.den, *(f.den for f in pieces[:q]))
+    th = _scaled(theta, den)
+    f1, *high = [_scaled(f, den ** i) for i, f in enumerate(pieces[:q], 1)] or [{}]
     T = _exp_int([{}, *high], q, n)
     big_a = max((abs(f1.get(m, 0)) + abs(th.get(m, 0)) for m in f1.keys() | th.keys()), default=0)
     bound = sum(math.comb(q, j) * (math.factorial(2 * j) >> j) * big_a ** j
@@ -428,8 +421,11 @@ class AcyclicData(Record):
                              f"entries, got {len(self.pairings)}")
         rank = self.rank
         if rank.denominator != 1 or rank < 1:
+            # spelled out only when short: a long one could pass the integer-text limit
+            got = rank if rank.numerator.bit_length() + rank.denominator.bit_length() < 1000 \
+                else "a rational of over 300 digits"
             raise InputError("pairings",
-                             f"rank sum(-1)^s P_s/s! must be a positive integer, got {rank}")
+                             f"rank sum(-1)^s P_s/s! must be a positive integer, got {got}")
         for (i, s), form in kappa_forms.items():
             if not (1 <= i <= q and 0 <= s <= n - i):
                 raise ValueError(f"kappa index {(i, s)} out of range")

@@ -108,9 +108,18 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-# An integer or num/den; Fraction would also read exponents such as "1e999999999",
-# building a huge integer before any check runs.
+# An integer or num/den in ASCII digits; Fraction would also read exponents such as
+# "1e999999999", building a huge integer before any check runs, and int() alone reads
+# other scripts' digits, surrounding spaces and underscores.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _ascii_int(text: str) -> int:
+    """The integer ``text`` spells as ``[+-]?[0-9]+``; anything else is a ``ValueError``."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 def parse_fraction(value, field_name: str) -> Fraction:

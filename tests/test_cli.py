@@ -367,6 +367,31 @@ def test_huge_q_acyclic_input_exits_2_quickly():
     assert "input error at 'h'" in err
 
 
+def test_rank_of_thousands_of_digits_is_refused_naming_pairings():
+    """n_dim = 3000: the rank's denominator has more digits than Python turns
+    into text by default, so the refusal must not spell it out."""
+    rng = random.Random(1)
+    doc = {"n_dim": 3000, "q": 0, "h": [], "deg_E": "1",
+           "pairings": [str(rng.randint(1, 9)) for _ in range(3001)]}
+    code, out, err = run_main(["acyclic-volume"], json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error at 'pairings':"), err
+
+
+LARGE_ABELIAN = ["abelian-volume", "--g", "1", "--l", str(10 ** 50), "--d", "100"]
+
+
+def test_answer_past_the_digit_limit_prints_the_same_bytes_under_any_limit():
+    code, want, err = run_main(LARGE_ABELIAN)
+    assert code == 0, err
+    coefficients = json.loads(want)["volume"]["coefficients"]
+    assert any(len(part) > 4300 for c in coefficients for part in c.split("/"))
+    code, out, err = run_python("-X", "int_max_str_digits=640", *CLI, *LARGE_ABELIAN)
+    assert code == 0, err
+    assert out == want
+
+
 def test_verify_at_r_900_without_weights_exits_2_quickly():
     """The seeded default candidate draws from 899 distinct rationals, so at
     r = 900 it could never finish: the job is refused before drawing."""
@@ -406,6 +431,10 @@ def test_sweep_rows_equal_weighted_quot_volume_jobs(doc):
     (["quot-volume", "sweep"], "command"),                    # two commands
     (["quot-volume", "--g", "1", "2"], "command"),            # a stray value
     (["quot_volume"], "command"),                             # unknown command
+    (["quot-volume", "--g", "\u0663"], "g"),                  # ASCII digits only
+    (["quot-volume", "--g", " 1"], "g"),
+    (["quot-volume", "--d", "1_0"], "d"),
+    (["quot-volume", "--l", "0,\u0662"], "l"),
 ])
 def test_argv_errors_exit_2_naming_the_field(argv, field):
     code, out, err = run_main(argv)

@@ -9,8 +9,8 @@ from a ``Fraction`` implementation of the same series (r d up to 200) and to
 facts that hold at every size: Grothendieck degrees are non-negative
 integers, the degree in ``ttilde`` is d with a known leading coefficient, and
 r = 1 is the symmetric power (d = 100).  At r = 2, where zeta = -1 and every
-series is rational, the group-ring logarithm ``_log_a`` is also held to the
-product that defines A_2.
+series is rational, and at r = 3 over Q(w), the group-ring logarithm
+``_log_a`` is also held to the product that defines A_r.
 """
 
 import hashlib
@@ -173,3 +173,67 @@ def test_log_a_at_rank_two_is_the_log_of_the_product():
     for k, a in enumerate(_log_a(2, K), 1):
         assert log_a2[2 * k] * Fraction(-1, 4) ** k == Fraction(4 * (-1) ** k * a,
                                                                 math.factorial(2 * k) * 4 ** k), k
+
+
+class _Eisenstein:
+    """``x + y w`` in Q(w), ``w^2 = -1 - w``: the arithmetic ``_series_log`` uses."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x=0, y=0):
+        self.x, self.y = Fraction(x), Fraction(y)
+
+    @classmethod
+    def _of(cls, o):
+        return o if isinstance(o, cls) else cls(o)
+
+    def __add__(self, o):
+        o = self._of(o)
+        return _Eisenstein(self.x + o.x, self.y + o.y)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Eisenstein(-self.x, -self.y)
+
+    def __sub__(self, o):
+        return self + -self._of(o)
+
+    def __rsub__(self, o):
+        return self._of(o) - self
+
+    def __mul__(self, o):
+        o = self._of(o)
+        return _Eisenstein(self.x * o.x - self.y * o.y, self.x * o.y + self.y * o.x - self.y * o.y)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        return _Eisenstein(self.x / k, self.y / k)
+
+
+def test_log_a_at_rank_three_is_the_log_of_the_product():
+    """Over Q(w), w a primitive cube root of 1, with T_i = T(w^i v):
+    log A_3 = sum_i [log(1 - T_i) + 2 T_i] - sum_(i != j) log((T_i - T_j)/((w^i - w^j) v)),
+    and [v^(3k)] log A_3 = 9 a_k/(3k)! with a_k = ``_log_a(3, K)[k-1]``.  The
+    quotient's v^m coefficient is t_(m+1) sum_(a <= m) w^(ia + j(m-a)), so
+    nothing is divided by w^i - w^j."""
+    K = 8
+    n = 3 * K
+    w = [_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1)]
+    t = [Fraction(0)] + [Fraction(m ** (m - 1), math.factorial(m)) for m in range(1, n + 2)]
+    T = [[w[i * m % 3] * c for m, c in enumerate(t)] for i in range(3)]
+    log_a3 = [_Eisenstein() for _ in range(n + 1)]
+    for i in range(3):
+        log = _series_log([1 - c if m == 0 else -c for m, c in enumerate(T[i][:n + 1])], n)
+        for m in range(1, n + 1):
+            log_a3[m] = log_a3[m] + log[m] + 2 * T[i][m]
+        for j in set(range(3)) - {i}:
+            quotient = [t[m + 1] * sum((w[(i * a + j * (m - a)) % 3] for a in range(m + 1)),
+                                       _Eisenstein()) for m in range(n + 1)]
+            for m, x in enumerate(_series_log(quotient, n)):
+                log_a3[m] = log_a3[m] - x
+    assert all(c.y == 0 for c in log_a3)
+    assert all(log_a3[m].x == 0 for m in range(n + 1) if m % 3)
+    for k, a in enumerate(_log_a(3, K), 1):
+        assert log_a3[3 * k].x == Fraction(9 * a, math.factorial(3 * k)), k

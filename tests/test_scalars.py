@@ -95,6 +95,11 @@ def test_tpoly_scalar_comparison_and_trim():
     assert TPoly((0, 1)) != 1
 
 
+def test_tpoly_constant_hashes_as_its_value():
+    assert len({TPoly((3,)), Fraction(3), 3}) == 1
+    assert hash(TPoly()) == hash(0)
+
+
 # ---------------------------------------------------------------------------
 # series keys
 
