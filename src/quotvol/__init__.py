@@ -18,34 +18,32 @@ The ``quotvol`` command line exposes all of it on JSON job documents.
 
 import importlib
 
-from . import abelian, closed, grothendieck, localization, scalars
-from .scalars import *
-from .abelian import *
-from .localization import *
-from .grothendieck import *
-from .closed import *
-
 __version__ = "0.1.0"
 
-# exterior.__all__, listed here so that importing the package does not load
-# the exterior algebra: only acyclic volumes need it (see ``__getattr__``)
-_EXTERIOR_ALL = ("AltForm", "exp_graded", "evaluate_top", "top_exp_poly", "theta_form",
+# Each library module and the names served from it, in export order; ``import quotvol``
+# loads none of them, and ``__getattr__`` imports each on first use.
+_EXPORTS = {
+    "scalars": ("TPoly", "falling_factorial", "general_binomial", "QuotProblem", "WeightVector",
+                "default_weights"),
+    "exterior": ("AltForm", "exp_graded", "evaluate_top", "top_exp_poly", "theta_form",
                  "standard_symplectic_matrix", "standard_symplectic_form", "AcyclicData",
-                 "segre_from_ch", "chern_from_ch", "ch_of_V", "curve_acyclic_data")
+                 "segre_from_ch", "chern_from_ch", "ch_of_V", "curve_acyclic_data"),
+    "abelian": ("CurveQuotProblem", "MantonNasirValues", "poincare_number",
+                "symmetric_power_volume", "manton_nasir_check", "acyclic_volume"),
+    "localization": ("Composition", "WeightIndependenceReport", "compositions",
+                     "stability_weights", "quot_volume", "verify_weight_independence"),
+    "grothendieck": ("EmbeddingParams", "embedding_params", "grothendieck_degree"),
+    "closed": ("closed_volume",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    *scalars.__all__,
-    *_EXTERIOR_ALL,
-    *abelian.__all__,
-    *localization.__all__,
-    *grothendieck.__all__,
-    *closed.__all__,
-]
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    """``exterior`` and its names, loaded on first use."""
-    if name == "exterior" or name in _EXTERIOR_ALL:
-        exterior = importlib.import_module(".exterior", __name__)
-        return exterior if name == "exterior" else getattr(exterior, name)
+    """A library module, or the module behind an exported name, loaded on first use."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,9 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .localization import (Composition, QuotProblem, WeightVector, _u_concentrated,
-                            stability_weights)
-from .scalars import TPoly, ULaurent, falling_factorial, general_binomial
+from .localization import Composition, _u_concentrated, stability_weights
+from .scalars import (QuotProblem, TPoly, ULaurent, WeightVector, falling_factorial,
+                      general_binomial)
 
 
 class TruncSeries:

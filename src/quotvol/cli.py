@@ -196,6 +196,65 @@ def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
     )
 
 
+# ---------------------------------------------------------------------------
+# work budget
+
+# A curve job whose estimated running time passes WORK_LIMIT microseconds is
+# refused before it starts.  Each estimate reads the sizes of the job alone;
+# its constants are fitted on a 2 vCPU box, and every size is clamped at the
+# limit first, so that a huge input costs the estimate no more than a small one.
+WORK_LIMIT = 10 ** 7  # ten seconds
+
+
+def _closed_form_work(r: int, d: int, bits: int) -> int:
+    """``closed_volume`` at rank r and colength d, when g and |l| take ``bits`` bits:
+    the (rd)^2/2 steps of ``_log_a`` and their cyclic products on integers of
+    about rd lg(rd) bits, then d^3/3 products of rho on integers of d (r lg(rd) + bits)."""
+    r, d = min(r, WORK_LIMIT), min(d, WORK_LIMIT)
+    n, m = r * d, min(r, r * d)
+    lg = n.bit_length()
+    cyclic = r * (3 * n * m * m - 2 * m ** 3 + 3 * r * (n - m) ** 2) // 6
+    return (2 * n * n + cyclic * (770 + n * lg) // 7700
+            + d ** 3 * (417 + d * (r * lg + bits)) // 6250 + 20)
+
+
+def _rank_one_work(g: int, d: int, bits: int) -> int:
+    """``symmetric_power_volume`` at genus g and colength d, when deg E takes ``bits``
+    bits: d (min(g, d) + 1) sums of fractions whose factorial parts take ``small``
+    words and the rest (powers of deg E, binomials of g) ``large``, and the d powers."""
+    d = min(d, WORK_LIMIT)
+    small = d * d.bit_length() // 64 + 1
+    large = (d * bits + min(g, d * g.bit_length())) // 64 + 1
+    sums = d * (min(g, d) + 1) * (small + large) * small
+    return (sums + d * large * math.isqrt(large)) // 250 + 20
+
+
+def _localization_work(p: QuotProblem, weights: tuple[WeightVector, ...]) -> int:
+    """``quot_volume`` once per weight vector: per composition, r^2 cross factors
+    on keys of r + 1 exponents, r d^2 series terms and g products per summand, on
+    rationals that grow with the exponents (g + spread of l + d) times the weights'
+    bits; times C(d + r - 1, r - 1), whose product stops once past the limit."""
+    r, d, g = (min(x, WORK_LIMIT) for x in (p.r, p.d, p.g))
+    spread = min(max(p.l) - min(p.l), WORK_LIMIT)
+    bits = max(x.numerator.bit_length() + x.denominator.bit_length()
+               for w in weights for x in w.w)
+    per = ((50 * r * r + 3 * r ** 3 // 10 + 85 * r * d * d
+            + 7 * r * (r + 1) * g * (d + 1) * (r * d + 1) // 10)
+           * (3200 + (g + spread + d) * bits) // 3200 * len(weights))
+    count, k = 1, min(d, r - 1)
+    for i in range(1, k + 1):
+        if count * per > WORK_LIMIT:
+            break
+        count = count * (d + r - 1 - k + i) // i
+    return count * per
+
+
+def _within_budget(work: int, field_name: str) -> None:
+    if work > WORK_LIMIT:
+        raise InputError(field_name, f"estimated {work:.1e} microseconds of work, over the "
+                         f"limit of {WORK_LIMIT:.0e}; the job is refused before it starts")
+
+
 def parse_jobspec(doc: dict) -> JobSpec:
     """Validate a job document and build the library problem it runs on.
 
@@ -236,6 +295,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
         if len(l) != 1:
             raise InputError("l", "abelian-volume takes a single degree [deg_E0]")
         problem = CurveQuotProblem(g=g, deg_E=l[0] - d, d=d)
+        _within_budget(_rank_one_work(g, d, problem.deg_E.bit_length()), "d")
     else:
         partitions = doc.get("l_partitions") if command == "sweep" else None
         if partitions is not None:
@@ -248,13 +308,25 @@ def parse_jobspec(doc: dict) -> JobSpec:
             if part is not None and len(part) != r:
                 raise InputError(name, f"expected {r} entries, got {len(part)}")
         if command == "sweep":
-            problem = tuple(
-                QuotProblem(g=gi, r=r, l=part, d=di)
-                for gi in ints.get("g_values", (g,)) for di in ints.get("d_values", (d,))
-                for part in (partitions if partitions is not None else (l,))
-            )
+            gs, ds = ints.get("g_values", (g,)), ints.get("d_values", (d,))
+            parts = partitions if partitions is not None else (l,)
+            bits = max(gs, default=0).bit_length() + max(
+                (abs(sum(part)) for part in parts), default=0).bit_length()
+            work = 0
+            for di in ds:  # stop at the first d past the limit: d_values may be long
+                work += len(gs) * len(parts) * _closed_form_work(r, di, bits)
+                if work > WORK_LIMIT:
+                    break
+            _within_budget(work, "d" if d is not None else "d_values")
+            problem = tuple(QuotProblem(g=gi, r=r, l=part, d=di)
+                            for gi in gs for di in ds for part in parts)
         else:
             problem = QuotProblem(g=g, r=r, l=l, d=d)
+            if weights:
+                _within_budget(_localization_work(problem, weights), "r")
+            else:
+                _within_budget(_closed_form_work(
+                    r, d, g.bit_length() + abs(problem.l_total).bit_length()), "d")
     return JobSpec(command, out_format, problem, weights, ints.get("n"), *t_section, doc)
 
 

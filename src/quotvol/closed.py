@@ -18,8 +18,10 @@ Summing over the r-th roots of unity keeps every r-th coefficient:
 ``T'(y)`` at k = 0, whose logarithm ``T - log(1 - T)`` cancels the
 ``log(1 - T)`` term; ``r L[X^0]`` sums over all k at once.  For r = 1 this
 is Lagrange inversion of ``symmetric_power_volume``; for r >= 2 the tests
-hold it to ``quot_volume``.  The ``ttilde^d`` term comes from
-``(r ttilde log B_r)^d/d!`` alone, so the degree is exactly d.
+hold it to ``quot_volume``; for r = 2, 3 and 4 they also match ``log A_r``
+with the log of the product above, over Q, Q(zeta_3) and Q(i).  The
+``ttilde^d`` term comes from ``(r ttilde log B_r)^d/d!`` alone, so the
+degree is exactly d.
 
 All of it runs on integers in exponential coordinates (the power-series log
 and exp recurrences of Brent and Kung, 1978); one exact division per
@@ -41,8 +43,7 @@ and the volume ``rho_d / (d! (rd)! r^(rd))``.
 import math
 from fractions import Fraction
 
-from .localization import QuotProblem
-from .scalars import TPoly
+from .scalars import QuotProblem, TPoly
 
 __all__ = ["closed_volume"]
 

@@ -16,8 +16,8 @@ import operator
 import warnings
 from fractions import Fraction
 
-from .localization import QuotProblem, quot_volume
-from .scalars import Record, TPoly
+from .localization import quot_volume
+from .scalars import QuotProblem, Record, TPoly
 
 __all__ = ["EmbeddingParams", "embedding_params", "grothendieck_degree"]
 

@@ -52,47 +52,17 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import Record, TPoly, ULaurent, _as_fraction, general_binomial
+from .scalars import (QuotProblem, Record, TPoly, ULaurent, WeightVector, default_weights,
+                      general_binomial)
 
 __all__ = [
-    "QuotProblem",
     "Composition",
-    "WeightVector",
     "WeightIndependenceReport",
     "compositions",
-    "default_weights",
     "stability_weights",
     "quot_volume",
     "verify_weight_independence",
 ]
-
-
-class QuotProblem(Record):
-    """Full-rank Quot problem: genus ``g``, splitting degrees ``l``, total
-    colength ``d``.  The volume is a polynomial in the stability variable."""
-
-    __slots__ = ("g", "r", "l", "d")
-
-    def __init__(self, g: int, r: int, l: Sequence[int], d: int):
-        g, r, d = operator.index(g), operator.index(r), operator.index(d)
-        l = tuple(operator.index(x) for x in l)
-        if g < 0:
-            raise ValueError("genus must be non-negative")
-        if r < 1:
-            raise ValueError("rank must be positive")
-        if d < 0:
-            raise ValueError("d must be non-negative")
-        if len(l) != r:
-            raise ValueError("l must list one degree per summand")
-        super().__init__(g, r, l, d)
-
-    @property
-    def l_total(self) -> int:
-        return sum(self.l)
-
-    @property
-    def gbar(self) -> int:
-        return self.g - 1
 
 
 class Composition(Record):
@@ -109,22 +79,6 @@ class Composition(Record):
     @property
     def total(self) -> int:
         return sum(self.parts)
-
-
-class WeightVector(Record):
-    """Pairwise distinct rational torus weights."""
-
-    __slots__ = ("w",)
-
-    def __init__(self, w: Sequence[Fraction | int]):
-        w = tuple(_as_fraction(x) for x in w)
-        if len(set(w)) != len(w):
-            raise ValueError("weights must be pairwise distinct")
-        super().__init__(w)
-
-
-def default_weights(r: int) -> WeightVector:
-    return WeightVector(tuple(Fraction(i) for i in range(1, r + 1)))
 
 
 def compositions(d: int, r: int) -> list[Composition]:

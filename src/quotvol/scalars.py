@@ -13,21 +13,23 @@ no floating point anywhere):
 All values are immutable after construction and all operations are pure, so
 instances may be shared freely across threads.
 
-``Record`` is the base of the package's parameter records (``QuotProblem``
-and the like), and ``InputError`` the error their checks raise when a value
-names a field; ``parse_fraction``, ``_require_int`` and ``_require_int_list``
-read JSON values and raise it.  They live here because every module imports
-this one.
+``Record`` is the base of the package's parameter records, ``QuotProblem``
+and ``WeightVector`` the records the engines share, and ``InputError`` the
+error raised when a value names a field; ``parse_fraction``, ``_require_int``
+and ``_require_int_list`` read JSON values and raise it.  They live here
+because every module imports this one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-__all__ = ["TPoly", "falling_factorial", "general_binomial"]
+__all__ = ["TPoly", "falling_factorial", "general_binomial", "QuotProblem", "WeightVector",
+           "default_weights"]
 
 
 def falling_factorial(g: int, k: int) -> Fraction:
@@ -106,6 +108,50 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+class QuotProblem(Record):
+    """Full-rank Quot problem: genus ``g``, splitting degrees ``l``, total
+    colength ``d``.  The volume is a polynomial in the stability variable."""
+
+    __slots__ = ("g", "r", "l", "d")
+
+    def __init__(self, g: int, r: int, l: Sequence[int], d: int):
+        g, r, d = operator.index(g), operator.index(r), operator.index(d)
+        l = tuple(operator.index(x) for x in l)
+        if g < 0:
+            raise ValueError("genus must be non-negative")
+        if r < 1:
+            raise ValueError("rank must be positive")
+        if d < 0:
+            raise ValueError("d must be non-negative")
+        if len(l) != r:
+            raise ValueError("l must list one degree per summand")
+        super().__init__(g, r, l, d)
+
+    @property
+    def l_total(self) -> int:
+        return sum(self.l)
+
+    @property
+    def gbar(self) -> int:
+        return self.g - 1
+
+
+class WeightVector(Record):
+    """Pairwise distinct rational torus weights."""
+
+    __slots__ = ("w",)
+
+    def __init__(self, w: Sequence[Fraction | int]):
+        w = tuple(_as_fraction(x) for x in w)
+        if len(set(w)) != len(w):
+            raise ValueError("weights must be pairwise distinct")
+        super().__init__(w)
+
+
+def default_weights(r: int) -> WeightVector:
+    return WeightVector(tuple(Fraction(i) for i in range(1, r + 1)))
 
 
 # An integer or num/den in ASCII digits; Fraction would also read exponents such as

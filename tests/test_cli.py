@@ -288,6 +288,17 @@ def test_negative_sweep_genus_is_an_input_error():
     assert "input error at 'g_values[0]'" in err
 
 
+# Jobs that would run for minutes to ages: the work budget refuses them at d
+# (at r for the localization engine, which verify runs).
+RUNAWAY_JOBS = [
+    ({"command": "abelian-volume", "g": 1, "l": [2], "d": 200000}, "d"),
+    ({"command": "abelian-volume", "g": 1, "l": [2], "d": 10 ** 30}, "d"),
+    ({"command": "quot-volume", "g": 2, "r": 2, "l": [0, 1], "d": 300}, "d"),
+    ({"command": "grothendieck-degree", "g": 2, "r": 2, "l": [0, 1], "d": 10 ** 6, "n": 5}, "d"),
+    ({"command": "verify", "g": 1, "r": 60, "l": [0] * 60, "d": 1}, "r"),
+]
+
+
 @pytest.mark.parametrize(
     "doc, field_name",
     [
@@ -313,14 +324,28 @@ def test_negative_sweep_genus_is_an_input_error():
          "kappa[0].terms[0].indices"),
         ({**ACYCLIC, "kappa": TWO_KAPPA_FORMS}, "kappa[1]"),
         ({**ACYCLIC, "kappa": REPEATED_INDICES}, "kappa[0].terms[1].indices"),
+        *RUNAWAY_JOBS,
     ],
 )
 def test_domain_bounds_name_the_field(doc, field_name):
     from quotvol.cli import InputError
 
+    started = time.perf_counter()
     with pytest.raises(InputError) as info:
         parse_jobspec(doc)
+    assert time.perf_counter() - started < 2.0
     assert info.value.field_name == field_name
+
+
+@pytest.mark.parametrize("doc, field_name", RUNAWAY_JOBS)
+def test_runaway_job_exits_2_before_it_starts(doc, field_name):
+    """The work budget refuses each job from its sizes, before any of it runs."""
+    started = time.perf_counter()
+    code, out, err = run_python(*CLI, doc["command"], stdin=json.dumps(doc))
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error at '{field_name}': estimated "), err
+    assert "over the limit of 1e+07" in err
 
 
 def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):

@@ -175,26 +175,26 @@ def test_log_a_at_rank_two_is_the_log_of_the_product():
                                                                 math.factorial(2 * k) * 4 ** k), k
 
 
-class _Eisenstein:
-    """``x + y w`` in Q(w), ``w^2 = -1 - w``: the arithmetic ``_series_log`` uses."""
+class _Quadratic:
+    """``x + y w`` in Q(w), ``w^2 = SQUARE[0] + SQUARE[1] w``: the arithmetic
+    ``_series_log`` uses.  A subclass names the field by its ``SQUARE``."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x=0, y=0):
         self.x, self.y = Fraction(x), Fraction(y)
 
-    @classmethod
-    def _of(cls, o):
-        return o if isinstance(o, cls) else cls(o)
+    def _of(self, o):
+        return o if isinstance(o, _Quadratic) else type(self)(o)
 
     def __add__(self, o):
         o = self._of(o)
-        return _Eisenstein(self.x + o.x, self.y + o.y)
+        return type(self)(self.x + o.x, self.y + o.y)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _Eisenstein(-self.x, -self.y)
+        return type(self)(-self.x, -self.y)
 
     def __sub__(self, o):
         return self + -self._of(o)
@@ -204,36 +204,66 @@ class _Eisenstein:
 
     def __mul__(self, o):
         o = self._of(o)
-        return _Eisenstein(self.x * o.x - self.y * o.y, self.x * o.y + self.y * o.x - self.y * o.y)
+        (p, q), yy = self.SQUARE, self.y * o.y
+        return type(self)(self.x * o.x + p * yy, self.x * o.y + self.y * o.x + q * yy)
 
     __rmul__ = __mul__
 
     def __truediv__(self, k):
-        return _Eisenstein(self.x / k, self.y / k)
+        return type(self)(self.x / k, self.y / k)
+
+
+class _Eisenstein(_Quadratic):
+    SQUARE = (-1, -1)  # w a primitive cube root of 1
+
+
+class _Gaussian(_Quadratic):
+    SQUARE = (-1, 0)  # w = i
+
+
+def _log_of_the_product(roots, n):
+    """log A_r to order v^n over the field of ``roots``, the powers zeta^0 .. zeta^(r-1)
+    of a primitive r-th root of 1, with T_i = T(zeta^i v):
+    log A_r = sum_i [log(1 - T_i) + (r-1) T_i]
+              - sum_(i != j) log((T_i - T_j)/((zeta^i - zeta^j) v)).
+    The quotient's v^m coefficient is t_(m+1) sum_(a <= m) zeta^(ia + j(m-a)), so
+    nothing is divided by zeta^i - zeta^j."""
+    r, zero = len(roots), roots[0] * 0
+    t = [Fraction(0)] + [Fraction(m ** (m - 1), math.factorial(m)) for m in range(1, n + 2)]
+    log_a = [zero] * (n + 1)
+    for i in range(r):
+        T_i = [roots[i * m % r] * c for m, c in enumerate(t)]
+        log = _series_log([1 - c if m == 0 else -c for m, c in enumerate(T_i[:n + 1])], n)
+        for m in range(1, n + 1):
+            log_a[m] = log_a[m] + log[m] + (r - 1) * T_i[m]
+        for j in set(range(r)) - {i}:
+            quotient = [t[m + 1] * sum((roots[(i * a + j * (m - a)) % r] for a in range(m + 1)),
+                                       zero) for m in range(n + 1)]
+            for m, x in enumerate(_series_log(quotient, n)):
+                log_a[m] = log_a[m] - x
+    return log_a
 
 
 def test_log_a_at_rank_three_is_the_log_of_the_product():
-    """Over Q(w), w a primitive cube root of 1, with T_i = T(w^i v):
-    log A_3 = sum_i [log(1 - T_i) + 2 T_i] - sum_(i != j) log((T_i - T_j)/((w^i - w^j) v)),
-    and [v^(3k)] log A_3 = 9 a_k/(3k)! with a_k = ``_log_a(3, K)[k-1]``.  The
-    quotient's v^m coefficient is t_(m+1) sum_(a <= m) w^(ia + j(m-a)), so
-    nothing is divided by w^i - w^j."""
+    """Over Q(w), w a primitive cube root of 1: every w part and every v^m with
+    3 not dividing m vanish, and [v^(3k)] log A_3 = 9 a_k/(3k)! with
+    a_k = ``_log_a(3, K)[k-1]``."""
     K = 8
-    n = 3 * K
-    w = [_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1)]
-    t = [Fraction(0)] + [Fraction(m ** (m - 1), math.factorial(m)) for m in range(1, n + 2)]
-    T = [[w[i * m % 3] * c for m, c in enumerate(t)] for i in range(3)]
-    log_a3 = [_Eisenstein() for _ in range(n + 1)]
-    for i in range(3):
-        log = _series_log([1 - c if m == 0 else -c for m, c in enumerate(T[i][:n + 1])], n)
-        for m in range(1, n + 1):
-            log_a3[m] = log_a3[m] + log[m] + 2 * T[i][m]
-        for j in set(range(3)) - {i}:
-            quotient = [t[m + 1] * sum((w[(i * a + j * (m - a)) % 3] for a in range(m + 1)),
-                                       _Eisenstein()) for m in range(n + 1)]
-            for m, x in enumerate(_series_log(quotient, n)):
-                log_a3[m] = log_a3[m] - x
+    log_a3 = _log_of_the_product([_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1)], 3 * K)
     assert all(c.y == 0 for c in log_a3)
-    assert all(log_a3[m].x == 0 for m in range(n + 1) if m % 3)
+    assert all(log_a3[m].x == 0 for m in range(3 * K + 1) if m % 3)
     for k, a in enumerate(_log_a(3, K), 1):
         assert log_a3[3 * k].x == Fraction(9 * a, math.factorial(3 * k)), k
+
+
+def test_log_a_at_rank_four_is_the_log_of_the_product():
+    """Over Q(i), with T_k = T(i^k v) for k = 0..3: every i part and every v^m
+    with 4 not dividing m vanish, and [v^(4k)] log A_4 = 16 a_k/(4k)! with
+    a_k = ``_log_a(4, K)[k-1]``."""
+    K = 6
+    roots = [_Gaussian(1), _Gaussian(0, 1), _Gaussian(-1), _Gaussian(0, -1)]
+    log_a4 = _log_of_the_product(roots, 4 * K)
+    assert all(c.y == 0 for c in log_a4)
+    assert all(log_a4[m].x == 0 for m in range(4 * K + 1) if m % 4)
+    for k, a in enumerate(_log_a(4, K), 1):
+        assert log_a4[4 * k].x == Fraction(16 * a, math.factorial(4 * k)), k

@@ -57,6 +57,11 @@ def test_moved_names_resolve_from_their_old_homes():
         assert name not in abelian.__all__ and name in exterior.__all__, name
         assert getattr(abelian, name) is getattr(exterior, name), name
     assert cli.parse_fraction is scalars.parse_fraction
+    # the records moved to ``scalars``; ``localization`` still serves them
+    from quotvol.localization import QuotProblem, WeightVector, default_weights
+
+    assert QuotProblem is scalars.QuotProblem and WeightVector is scalars.WeightVector
+    assert default_weights is scalars.default_weights
     with pytest.raises(AttributeError, match="no attribute 'missing'"):
         abelian.missing
 
@@ -74,7 +79,20 @@ assert AltForm is direct and quotvol.exterior is sys.modules["quotvol.exterior"]
 names = {}
 exec("from quotvol import *", names)
 assert set(quotvol.__all__) <= set(names), "import * lost names"
+for name in quotvol.__all__:
+    home = sys.modules[names[name].__module__]
+    assert home.__name__.startswith("quotvol.") and getattr(home, name) is names[name], name
 """
+
+# The quotvol modules a fresh interpreter holds after one statement: the root
+# loads each module on first use, and a CLI process loads the seven it binds.
+LOADED = [
+    ("import quotvol", ["quotvol"]),
+    ("from quotvol import closed_volume", ["quotvol", "quotvol.closed", "quotvol.scalars"]),
+    ("from quotvol import quot_volume", ["quotvol", "quotvol.localization", "quotvol.scalars"]),
+    ("import quotvol.cli", ["quotvol", "quotvol.abelian", "quotvol.cli", "quotvol.closed",
+                            "quotvol.grothendieck", "quotvol.localization", "quotvol.scalars"]),
+]
 
 # the job document comes on the child's stdin
 ACYCLIC_JOB = """
@@ -122,6 +140,14 @@ assert localization.series_pow_int is scalars.series_pow_int
 def test_cli_import_loads_neither_argparse_nor_exterior():
     code, _, err = run_python("-c", LAZY_IMPORTS)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("statement, modules", LOADED)
+def test_fresh_interpreter_loads_the_modules_it_uses(statement, modules):
+    listing = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'quotvol'))"
+    code, out, err = run_python("-c", f"import sys\n{statement}\n{listing}")
+    assert code == 0, err
+    assert out.split() == modules
 
 
 def test_acyclic_job_loads_exterior_on_demand():
