@@ -236,8 +236,7 @@ def _localization_work(p: QuotProblem, weights: tuple[WeightVector, ...]) -> int
     bits; times C(d + r - 1, r - 1), whose product stops once past the limit."""
     r, d, g = (min(x, WORK_LIMIT) for x in (p.r, p.d, p.g))
     spread = min(max(p.l) - min(p.l), WORK_LIMIT)
-    bits = max(x.numerator.bit_length() + x.denominator.bit_length()
-               for w in weights for x in w.w)
+    bits = max(_bits(x) for w in weights for x in w.w)
     per = ((50 * r * r + 3 * r ** 3 // 10 + 85 * r * d * d
             + 7 * r * (r + 1) * g * (d + 1) * (r * d + 1) // 10)
            * (3200 + (g + spread + d) * bits) // 3200 * len(weights))
@@ -247,6 +246,36 @@ def _localization_work(p: QuotProblem, weights: tuple[WeightVector, ...]) -> int
             break
         count = count * (d + r - 1 - k + i) // i
     return count * per
+
+
+def _bits(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def _evaluation_work(spec: JobSpec) -> tuple[int, str]:
+    """The volume's value at a point, and the field that sets the point: Horner's
+    products at a point of b bits reach about degree x b bits, a probe of pi
+    multiplies by (4 pi^2)^dim, and computing and printing a number of s bits
+    takes about s^2/400000 microseconds."""
+    p, command, pi = spec.problem, spec.command, spec.pi_probe
+    if command == "grothendieck-degree":  # (rd)! Vol(n - g + 1)
+        sizes, field_name = [min(p.d, WORK_LIMIT) * _bits(Fraction(spec.n - p.g + 1))], "n"
+    elif command in ("sweep", "verify") or (spec.t_value is None and pi is None):
+        return 0, ""
+    else:
+        acyclic = command == "acyclic-volume"
+        degree = min(p.dimension if acyclic else p.d, WORK_LIMIT)
+        dim = degree * p.r if command == "quot-volume" else degree
+        power = 0 if pi is None else 2 * dim * _bits(pi)  # the bits of (4 pi^2)^dim
+        sizes = [power if command == "abelian-volume" else 0]  # the factor line
+        field_name = "t.value" if spec.t_mode == "ttilde-value" else "t.pi_probe"
+        if spec.t_mode == "ttilde-value":
+            sizes.append(degree * _bits(spec.t_value))
+        elif spec.t_mode == "physical-t" and pi is not None:
+            base = math.factorial(p.n - 1) if acyclic else 1
+            at = degree * _bits(base * spec.t_value * spec.vol_X / (2 * pi))
+            sizes += [at, at + power]  # value_at_probe, unnormalized_at_probe
+    return sum(s * s for s in sizes) // 400000, field_name
 
 
 def _within_budget(work: int, field_name: str) -> None:
@@ -290,14 +319,18 @@ def parse_jobspec(doc: dict) -> JobSpec:
     if command == "acyclic-volume":
         from .exterior import _parse_acyclic  # only acyclic jobs load the exterior algebra
         problem = _parse_acyclic(doc, ints["n_dim"], ints["q"])
+        work = 0  # no estimate of the exterior algebra's work yet
     elif command == "abelian-volume":
         # a degree list has one entry per summand: one on a curve, else r
         if len(l) != 1:
             raise InputError("l", "abelian-volume takes a single degree [deg_E0]")
         problem = CurveQuotProblem(g=g, deg_E=l[0] - d, d=d)
-        _within_budget(_rank_one_work(g, d, problem.deg_E.bit_length()), "d")
+        work = _rank_one_work(g, d, problem.deg_E.bit_length())
+        _within_budget(work, "d")
     else:
-        partitions = doc.get("l_partitions") if command == "sweep" else None
+        # rows in (g, d, l) order: a sweep's ranges, or the job's one (g, d, l)
+        sweep = command == "sweep"
+        partitions = doc.get("l_partitions") if sweep else None
         if partitions is not None:
             if not isinstance(partitions, list):
                 raise InputError("l_partitions", "expected a list of integer lists")
@@ -307,9 +340,12 @@ def parse_jobspec(doc: dict) -> JobSpec:
         for name, part in (("l", l), *((f"l_partitions[{i}]", p) for i, p in parts)):
             if part is not None and len(part) != r:
                 raise InputError(name, f"expected {r} entries, got {len(part)}")
-        if command == "sweep":
-            gs, ds = ints.get("g_values", (g,)), ints.get("d_values", (d,))
-            parts = partitions if partitions is not None else (l,)
+        ranges = ints if sweep else {}
+        gs, ds = ranges.get("g_values", (g,)), ranges.get("d_values", (d,))
+        parts = partitions if partitions is not None else (l,)
+        if weights:
+            work = _localization_work(QuotProblem(g=g, r=r, l=l, d=d), weights)
+        else:
             bits = max(gs, default=0).bit_length() + max(
                 (abs(sum(part)) for part in parts), default=0).bit_length()
             work = 0
@@ -317,17 +353,15 @@ def parse_jobspec(doc: dict) -> JobSpec:
                 work += len(gs) * len(parts) * _closed_form_work(r, di, bits)
                 if work > WORK_LIMIT:
                     break
-            _within_budget(work, "d" if d is not None else "d_values")
-            problem = tuple(QuotProblem(g=gi, r=r, l=part, d=di)
-                            for gi in gs for di in ds for part in parts)
-        else:
-            problem = QuotProblem(g=g, r=r, l=l, d=d)
-            if weights:
-                _within_budget(_localization_work(problem, weights), "r")
-            else:
-                _within_budget(_closed_form_work(
-                    r, d, g.bit_length() + abs(problem.l_total).bit_length()), "d")
-    return JobSpec(command, out_format, problem, weights, ints.get("n"), *t_section, doc)
+        _within_budget(work, "r" if weights else "d" if d is not None else "d_values")
+        rows = tuple(QuotProblem(g=gi, r=r, l=part, d=di)
+                     for gi in gs for di in ds for part in parts)
+        problem = rows if sweep else rows[0]
+    spec = JobSpec(command, out_format, problem, weights, ints.get("n"), *t_section, doc)
+    evaluation, field_name = _evaluation_work(spec)
+    if evaluation:  # after the engine's own check, whose field and message stand
+        _within_budget(work + evaluation, field_name)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +564,9 @@ def _load_document(args: dict) -> dict:
             raise InputError("$", "input document must be a JSON object")
     doc["command"] = args["command"]
     # flag order fixes the key order of a new field in the echoed input
-    for name in ("g", "r", "l", "d", "n", "ttilde", "format"):
+    for name in _FLAGS:
         value = args.get(name)
-        if value is None:
+        if value is None or name == "file":
             continue
         if name == "l":
             try:

@@ -18,8 +18,8 @@ Summing over the r-th roots of unity keeps every r-th coefficient:
 ``T'(y)`` at k = 0, whose logarithm ``T - log(1 - T)`` cancels the
 ``log(1 - T)`` term; ``r L[X^0]`` sums over all k at once.  For r = 1 this
 is Lagrange inversion of ``symmetric_power_volume``; for r >= 2 the tests
-hold it to ``quot_volume``; for r = 2, 3 and 4 they also match ``log A_r``
-with the log of the product above, over Q, Q(zeta_3) and Q(i).  The
+hold it to ``quot_volume``; for r = 2 to 5 they also match ``log A_r`` with
+the log of the product above, over Q, Q(zeta_3), Q(i) and Q(zeta_5).  The
 ``ttilde^d`` term comes from ``(r ttilde log B_r)^d/d!`` alone, so the
 degree is exactly d.
 

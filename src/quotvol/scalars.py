@@ -169,9 +169,7 @@ def _ascii_int(text: str) -> int:
 
 
 def parse_fraction(value, field_name: str) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(field_name, "expected a rational 'num/den' string or integer")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):

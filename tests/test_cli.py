@@ -253,6 +253,11 @@ def test_parse_fraction_and_jobspec_errors():
       "l_partitions": [[1, 0], [0, 1]]},
      tuple(QuotProblem(g, 2, l, d) for g in (0, 1) for d in (1, 2) for l in ((1, 0), (0, 1)))),
     ({"command": "sweep", "r": 1, "g": 0, "l": [0], "d_values": []}, ()),
+    # only a sweep reads ranges: any other command keeps its own (g, l, d)
+    ({"command": "quot-volume", "g": 2, "r": 2, "l": [1, 0], "d": 1, "g_values": [0, 5],
+      "d_values": [3]}, QuotProblem(2, 2, (1, 0), 1)),
+    ({"command": "grothendieck-degree", "g": 0, "r": 2, "l": [0, 1], "d": 1, "n": 2,
+      "l_partitions": [[5, 5]]}, QuotProblem(0, 2, (0, 1), 1)),
 ])
 def test_parse_jobspec_builds_the_library_problem(doc, problem):
     spec = parse_jobspec(doc)
@@ -289,13 +294,19 @@ def test_negative_sweep_genus_is_an_input_error():
 
 
 # Jobs that would run for minutes to ages: the work budget refuses them at d
-# (at r for the localization engine, which verify runs).
+# (at r for the localization engine, which verify runs), or at the point the
+# volume is evaluated at when that evaluation tips the job over.
+BIG = "9" * 4000
 RUNAWAY_JOBS = [
     ({"command": "abelian-volume", "g": 1, "l": [2], "d": 200000}, "d"),
     ({"command": "abelian-volume", "g": 1, "l": [2], "d": 10 ** 30}, "d"),
     ({"command": "quot-volume", "g": 2, "r": 2, "l": [0, 1], "d": 300}, "d"),
     ({"command": "grothendieck-degree", "g": 2, "r": 2, "l": [0, 1], "d": 10 ** 6, "n": 5}, "d"),
     ({"command": "verify", "g": 1, "r": 60, "l": [0] * 60, "d": 1}, "r"),
+    ({"command": "quot-volume", "g": 2, "r": 2, "l": [0, 1], "d": 200,
+      "t": {"mode": "ttilde-value", "value": BIG}}, "t.value"),
+    ({"command": "grothendieck-degree", "g": 2, "r": 2, "l": [0, 1], "d": 200, "n": int(BIG)},
+     "n"),
 ]
 
 
@@ -325,6 +336,15 @@ RUNAWAY_JOBS = [
         ({**ACYCLIC, "kappa": TWO_KAPPA_FORMS}, "kappa[1]"),
         ({**ACYCLIC, "kappa": REPEATED_INDICES}, "kappa[0].terms[1].indices"),
         *RUNAWAY_JOBS,
+        ({**ACYCLIC, "kappa": [5]}, "kappa[0]"),
+        ({**ACYCLIC, "kappa": [{"i": 1, "s": 0, "terms": 5}]}, "kappa[0].terms"),
+        ({**ACYCLIC, "kappa": [{"i": 1, "s": 0, "terms": [5]}]}, "kappa[0].terms[0]"),
+        ({**ACYCLIC, "pairings": "0/1"}, "pairings"),
+        ({**ACYCLIC, "h": 5}, "h"),
+        ({"command": "quot-volume", "g": 0, "r": 1, "l": [0], "d": 0,
+          "t": {"mode": "ttilde-value", "value": True}}, "t.value"),
+        ([1], "$"),
+        ({"command": "nope"}, "command"),
     ],
 )
 def test_domain_bounds_name_the_field(doc, field_name):
@@ -346,6 +366,13 @@ def test_runaway_job_exits_2_before_it_starts(doc, field_name):
     assert (code, out) == (2, "")
     assert err.startswith(f"input error at '{field_name}': estimated "), err
     assert "over the limit of 1e+07" in err
+
+
+def test_evaluation_within_the_budget_is_accepted():
+    """At d = 100 a 4000-digit point runs in about 3 s: counted, not refused."""
+    doc = {"command": "quot-volume", "g": 2, "r": 2, "l": [0, 1], "d": 100,
+           "t": {"mode": "ttilde-value", "value": BIG}}
+    assert parse_jobspec(doc).problem == QuotProblem(2, 2, (0, 1), 100)
 
 
 def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):

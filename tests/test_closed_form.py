@@ -9,8 +9,8 @@ from a ``Fraction`` implementation of the same series (r d up to 200) and to
 facts that hold at every size: Grothendieck degrees are non-negative
 integers, the degree in ``ttilde`` is d with a known leading coefficient, and
 r = 1 is the symmetric power (d = 100).  At r = 2, where zeta = -1 and every
-series is rational, and at r = 3 over Q(w), the group-ring logarithm
-``_log_a`` is also held to the product that defines A_r.
+series is rational, and at r = 3, 4 and 5 over Q(zeta_r), the group-ring
+logarithm ``_log_a`` is also held to the product that defines A_r.
 """
 
 import hashlib
@@ -175,26 +175,29 @@ def test_log_a_at_rank_two_is_the_log_of_the_product():
                                                                 math.factorial(2 * k) * 4 ** k), k
 
 
-class _Quadratic:
-    """``x + y w`` in Q(w), ``w^2 = SQUARE[0] + SQUARE[1] w``: the arithmetic
-    ``_series_log`` uses.  A subclass names the field by its ``SQUARE``."""
+class _Cyclotomic:
+    """``sum_k c[k] X^k`` in Q(zeta_r) = Q[X]/(Phi_r(X)), X = zeta_r, for r = 3, 4
+    and 5: the arithmetic ``_series_log`` and ``_log_of_the_product`` use."""
 
-    __slots__ = ("x", "y")
+    # Phi_r = X^n + sum_(k<n) PHI[r][k] X^k: 1 + X + X^2, 1 + X^2, 1 + X + ... + X^4
+    PHI = {3: (1, 1), 4: (1, 0), 5: (1, 1, 1, 1)}
 
-    def __init__(self, x=0, y=0):
-        self.x, self.y = Fraction(x), Fraction(y)
+    __slots__ = ("r", "c")
+
+    def __init__(self, r, c=()):
+        c = [Fraction(x) for x in c]
+        self.r, self.c = r, tuple(c + [Fraction(0)] * (len(self.PHI[r]) - len(c)))
 
     def _of(self, o):
-        return o if isinstance(o, _Quadratic) else type(self)(o)
+        return o if isinstance(o, _Cyclotomic) else _Cyclotomic(self.r, (o,))
 
     def __add__(self, o):
-        o = self._of(o)
-        return type(self)(self.x + o.x, self.y + o.y)
+        return _Cyclotomic(self.r, (x + y for x, y in zip(self.c, self._of(o).c)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(-self.x, -self.y)
+        return _Cyclotomic(self.r, (-x for x in self.c))
 
     def __sub__(self, o):
         return self + -self._of(o)
@@ -203,22 +206,23 @@ class _Quadratic:
         return self._of(o) - self
 
     def __mul__(self, o):
-        o = self._of(o)
-        (p, q), yy = self.SQUARE, self.y * o.y
-        return type(self)(self.x * o.x + p * yy, self.x * o.y + self.y * o.x + q * yy)
+        if not isinstance(o, _Cyclotomic):  # a rational
+            return _Cyclotomic(self.r, (x * o for x in self.c))
+        phi, n = self.PHI[self.r], len(self.c)
+        prod = [Fraction(0)] * (2 * n - 1)
+        for i, x in enumerate(self.c):
+            if x:
+                for j, y in enumerate(o.c):
+                    prod[i + j] += x * y
+        for m in range(2 * n - 2, n - 1, -1):  # X^m = -sum_k PHI[r][k] X^(m-n+k)
+            for k, p in enumerate(phi):
+                prod[m - n + k] -= p * prod[m]
+        return _Cyclotomic(self.r, prod[:n])
 
     __rmul__ = __mul__
 
     def __truediv__(self, k):
-        return type(self)(self.x / k, self.y / k)
-
-
-class _Eisenstein(_Quadratic):
-    SQUARE = (-1, -1)  # w a primitive cube root of 1
-
-
-class _Gaussian(_Quadratic):
-    SQUARE = (-1, 0)  # w = i
+        return _Cyclotomic(self.r, (x / k for x in self.c))
 
 
 def _log_of_the_product(roots, n):
@@ -244,26 +248,30 @@ def _log_of_the_product(roots, n):
     return log_a
 
 
+def _assert_log_a_is_the_log_of_the_product(r, K):
+    """Over Q(zeta_r), with T_k = T(zeta^k v) for k = 0..r-1: every coordinate of
+    log A_r past the rational one vanishes, so does every v^m with r not dividing
+    m, and [v^(rk)] log A_r = r^2 a_k/(rk)! with a_k = ``_log_a(r, K)[k-1]``."""
+    roots = [_Cyclotomic(r, (1,))]
+    while len(roots) < r:
+        roots.append(roots[-1] * _Cyclotomic(r, (0, 1)))
+    log_ar = _log_of_the_product(roots, r * K)
+    assert all(not any(c.c[1:]) for c in log_ar)
+    assert all(log_ar[m].c[0] == 0 for m in range(r * K + 1) if m % r)
+    for k, a in enumerate(_log_a(r, K), 1):
+        assert log_ar[r * k].c[0] == Fraction(r * r * a, math.factorial(r * k)), k
+
+
 def test_log_a_at_rank_three_is_the_log_of_the_product():
-    """Over Q(w), w a primitive cube root of 1: every w part and every v^m with
-    3 not dividing m vanish, and [v^(3k)] log A_3 = 9 a_k/(3k)! with
-    a_k = ``_log_a(3, K)[k-1]``."""
-    K = 8
-    log_a3 = _log_of_the_product([_Eisenstein(1), _Eisenstein(0, 1), _Eisenstein(-1, -1)], 3 * K)
-    assert all(c.y == 0 for c in log_a3)
-    assert all(log_a3[m].x == 0 for m in range(3 * K + 1) if m % 3)
-    for k, a in enumerate(_log_a(3, K), 1):
-        assert log_a3[3 * k].x == Fraction(9 * a, math.factorial(3 * k)), k
+    """Over Q(w), w a primitive cube root of 1, to q^8."""
+    _assert_log_a_is_the_log_of_the_product(3, 8)
 
 
 def test_log_a_at_rank_four_is_the_log_of_the_product():
-    """Over Q(i), with T_k = T(i^k v) for k = 0..3: every i part and every v^m
-    with 4 not dividing m vanish, and [v^(4k)] log A_4 = 16 a_k/(4k)! with
-    a_k = ``_log_a(4, K)[k-1]``."""
-    K = 6
-    roots = [_Gaussian(1), _Gaussian(0, 1), _Gaussian(-1), _Gaussian(0, -1)]
-    log_a4 = _log_of_the_product(roots, 4 * K)
-    assert all(c.y == 0 for c in log_a4)
-    assert all(log_a4[m].x == 0 for m in range(4 * K + 1) if m % 4)
-    for k, a in enumerate(_log_a(4, K), 1):
-        assert log_a4[4 * k].x == Fraction(16 * a, math.factorial(4 * k)), k
+    """Over Q(i), to q^6."""
+    _assert_log_a_is_the_log_of_the_product(4, 6)
+
+
+def test_log_a_at_rank_five_is_the_log_of_the_product():
+    """Over Q(zeta_5), of degree 4, to q^4."""
+    _assert_log_a_is_the_log_of_the_product(5, 4)
