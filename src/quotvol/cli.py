@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import NoReturn, Sequence
 
 from .abelian import CurveQuotProblem, acyclic_volume, symmetric_power_volume
-from .closed import closed_volume
 from .grothendieck import grothendieck_degree
 from .localization import (
     QuotProblem,
@@ -392,10 +391,9 @@ def _t_report(spec: JobSpec, volume: TPoly, dim: int, base_dim: int = 1) -> dict
         ttilde = fact * spec.t_value * spec.vol_X / (2 * spec.pi_probe)
         report["pi_probe"] = format_fraction(spec.pi_probe)
         report["ttilde_at_probe"] = format_fraction(ttilde)
-        report["value_at_probe"] = format_fraction(volume(ttilde))
-        report["unnormalized_at_probe"] = format_fraction(
-            (4 * spec.pi_probe ** 2) ** dim * volume(ttilde)
-        )
+        value = volume(ttilde)
+        report["value_at_probe"] = format_fraction(value)
+        report["unnormalized_at_probe"] = format_fraction((4 * spec.pi_probe ** 2) ** dim * value)
     else:
         report["note"] = "supply t.pi_probe for a numeric evaluation"
     return report
@@ -419,10 +417,12 @@ def run_job(spec: JobSpec) -> dict:
 
     Volumes come from the closed form, except where the job names torus
     weights (a weighted ``quot-volume``, ``verify``): those are inputs of the
-    localization engine, which then runs."""
+    localization engine, which then runs.  Only the curve jobs that may read
+    the closed form import it, so a rank-1 or acyclic job never loads it."""
     problem = spec.problem
     result = {"schema": SCHEMA_VERSION, "input": spec.echo}
     if spec.command == "sweep":
+        from .closed import closed_volume
         result["rows"] = [
             _emit_volume({"g": p.g, "r": p.r, "d": p.d, "l": list(p.l)}, spec, closed_volume(p))
             for p in problem
@@ -439,9 +439,11 @@ def run_job(spec: JobSpec) -> dict:
         volume = acyclic_volume(problem)
         _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.dimension, problem.n))
     elif spec.command == "quot-volume":
+        from .closed import closed_volume
         volume = quot_volume(problem, spec.weights[0]) if spec.weights else closed_volume(problem)
         _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.r * problem.d))
     elif spec.command == "grothendieck-degree":
+        from .closed import closed_volume
         volume = closed_volume(problem)
         _emit_volume(result, spec, volume, degree=grothendieck_degree(problem, spec.n, volume))
     else:  # verify

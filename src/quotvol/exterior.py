@@ -12,10 +12,13 @@ All products run on this integer core.  A key is the mask with bit ``i``
 set for ``i`` in ``I``: two keys are disjoint when their masks are, and the
 shuffle sign of ``I`` followed by ``J`` is the parity of ``(p_I & mask_J)``,
 where ``p_I`` is the XOR of ``(1 << i) - 1`` over ``i`` in ``I``.
-``_wedge_into`` is the one wedge loop and ``_top_int`` the top-degree
-pairing (each key meets only its complement).
-``top_exp_poly`` runs a polynomial in t through the same core by Kronecker
-substitution: ``sum_k c_k t^k`` is the integer ``sum_k c_k 2^(wk)``.
+``_wedge_into`` is the one wedge loop.  Exponentials form no wedge power:
+even keys commute, so ``exp(omega)`` on a key K is a signed sum over the
+partitions of K into keys, which ``_partition_sums`` expands along the lowest
+index of K (the first-row Pfaffian expansion, blocks of any even size).  With
+``f_i`` scaled by ``D^i`` to integers, a key of degree 2j holds D^j times the
+true entry, so ``top_exp_poly`` reads ``D^q c(t)``, t packed in by Kronecker
+substitution (``sum_k c_k 2^(wk)``, w from a product over the indices).
 
 The acyclic pipeline lives here too, so that only acyclic jobs compile it:
 the pairing data ``AcyclicData`` (and ``curve_acyclic_data``, its curve
@@ -99,35 +102,30 @@ def _wedge_into(acc: dict[int, int], a: Mapping[int, int], b: Mapping[int, int])
     return acc
 
 
-def _top_int(a: Mapping[int, int], b: Mapping[int, int], n: int) -> int:
-    """Top coefficient of the wedge of the integer forms ``a`` and ``b`` on a
-    rank-n lattice: each key of ``a`` meets only its complement in ``b``."""
-    full = (1 << (n + 1)) - 2
-    total = 0
-    for ma, x in a.items():
-        y = b.get(full ^ ma)
-        if y:
-            total += -x * y if (_parity(ma) & (full ^ ma)).bit_count() & 1 else x * y
-    return total
-
-
-def _exp_int(pieces: Sequence[Mapping[int, int]], top: int, n: int) -> list[dict[int, int]]:
-    """``T_m = sum_i i (m-1)!/(m-i)! F_i ^ T_(m-i)``, ``T_0 = 1``: if
-    ``F_i = D^i f_i``, ``T_m = m! D^m e_m`` with e as in ``exp_graded``.  A
-    piece of degree n is read by complement lookup."""
-    full = (1 << (n + 1)) - 2
-    out = [{0: 1}]
-    for m in range(1, top + 1):
-        acc: dict[int, int] = {}
-        for i, f in enumerate(pieces[:m], 1):
-            if f and out[m - i]:
-                c = i * math.perm(m - 1, i - 1)
-                if 2 * m == n:
-                    acc[full] = acc.get(full, 0) + c * _top_int(f, out[m - i], n)
-                else:
-                    _wedge_into(acc, {k: c * v for k, v in f.items()} if c > 1 else f, out[m - i])
-        out.append({k: v for k, v in acc.items() if v})
-    return out
+def _partition_sums(omega: Mapping[int, int], targets: Iterable[int]) -> dict[int, int]:
+    """The memo of ``P(K) = sum_B sign(B, K - B) omega_B P(K - B)``, ``P(0) = 1``,
+    at the targets and the subsets they reach; B runs over the keys of ``omega``
+    holding ``min K`` inside K, found by lowest bit.  On even keys ``P(K)`` is
+    the entry of ``exp(omega)`` on K.  A stack in place of recursion keeps
+    Python's call depth fixed whatever the rank."""
+    owned: dict[int, list[tuple[int, int, int]]] = {}
+    for b, x in omega.items():
+        owned.setdefault(b & -b, []).append((b, x, _parity(b)))
+    memo = {0: 1}
+    stack = [(k, None) for k in targets]
+    while stack:
+        k, terms = stack.pop()
+        if terms is None:
+            if k in memo:
+                continue
+            nk = ~k
+            terms = [(k ^ b, -x if (p & (k ^ b)).bit_count() & 1 else x)
+                     for b, x, p in owned.get(k & -k, ()) if not b & nk]
+            stack.append((k, terms))
+            stack.extend((r, None) for r, _ in terms if r not in memo)
+        else:
+            memo[k] = sum(x * memo[r] for r, x in terms)
+    return memo
 
 
 class AltForm:
@@ -235,16 +233,22 @@ def exp_graded(q: int, pieces: Sequence[AltForm], top: int) -> list[AltForm]:
     """Graded pieces ``e_0, ..., e_top`` of ``exp(f_1 + f_2 + ...)``, where
     ``f_i = pieces[i-1]`` is a form of degree 2i.
 
-    Even forms commute, so differentiating ``exp(s F)`` in ``s`` gives
-    ``j e_j = sum_i i f_i ^ e_(j-i)``: only homogeneous pieces are wedged.
-    The recurrence runs on integers (``_exp_int``) and ``e_j`` is divided
-    out once.  Pieces above degree 2q vanish.
-    """
+    With D clearing all denominators, ``omega = sum_i D^i f_i`` has integer
+    entries, and ``_partition_sums`` gives ``D^j e_j`` on every key of degree
+    2j that is a union of disjoint keys of omega (zero elsewhere); each is
+    divided by D^j once.  Pieces above degree 2q vanish."""
     if any(f.q != q for f in pieces):
         raise ValueError("rank mismatch")
     den = math.lcm(*(f.den for f in pieces[:q]))
-    out = _exp_int([_scaled(f, den ** i) for i, f in enumerate(pieces[:q], 1)], min(top, q), 2 * q)
-    return ([_form(q, e, math.factorial(j) * den ** j) for j, e in enumerate(out)]
+    omega = {m: c for i, f in enumerate(pieces[:q], 1) for m, c in _scaled(f, den ** i).items()}
+    top_q = max(min(top, q), 0)
+    keys = {0}  # the unions of disjoint keys, joined lowest bit last
+    for low in sorted({m & -m for m in omega}, reverse=True):
+        keys |= {b | k for b in omega if b & -b == low for k in keys
+                 if not b & k and (b | k).bit_count() <= 2 * top_q}
+    memo = _partition_sums(omega, keys)
+    out = [{m: memo[m] for m in keys if m.bit_count() == 2 * j} for j in range(top_q + 1)]
+    return ([_form(q, e, den ** j) for j, e in enumerate(out)]
             + [AltForm.zero(q) for _ in range(q + 1, top + 1)])
 
 
@@ -258,24 +262,17 @@ def top_exp_poly(theta: AltForm, pieces: Sequence[AltForm]) -> list[Fraction]:
     ``exp(t theta + f_1 + f_2 + ...)`` as a polynomial in t, where ``theta``
     has degree 2 and ``f_i = pieces[i-1]`` has degree 2i.
 
-    Even forms commute, so this is the top of ``E ^ T`` with
-    ``E = exp(t theta + f_1)``, ``T = exp(f_2 + f_3 + ...)``.  With D
-    clearing all denominators, ``T_m`` (m! D^m times the degree-2m piece of
-    T) runs on plain integers, and ``E_j = G^j`` (j! D^j times that of E) on
-    ``G = D (f_1 + t theta)`` packed at ``t = X = 2^w``; then
-    ``q! D^q c(t) = Z(t) = sum_j C(q, j) top(E_j ^ T_(q-j))``.  Only the
-    ``E_j`` with ``T_(q-j) != 0`` are formed (``T_1 = 0``), and ``top(E_q)``
-    is read as ``top(E_a ^ E_(q-a))``, ``a = q // 2``.
+    With D clearing all denominators, ``_partition_sums`` at the full key on
+    ``omega = G + sum_(i >= 2) D^i f_i``, ``G = D (f_1 + t theta)`` packed at
+    ``t = X = 2^w``, is ``D^q c(X)``: its balanced base-X digits are the ``D^q c_k``.
 
-    Slot width.  For integer polynomials let ``|p|`` be the sum of the
-    absolute coefficients, so ``|p p'| <= |p| |p'|``.  ``E_j`` on a key of
-    degree 2j is a signed sum over its ``(2j)!/2^j`` splittings into an
-    ordered sequence of j pairs, of products of j values of G; so with A the
-    largest ``|G(pair)|``, every coefficient of Z is at most
-    ``B = sum_j C(q, j) (2j)!/2^j A^j ||T_(q-j)||`` in absolute value
-    (``||T||`` the sum of the absolute entries).  ``2^(w-1) > B`` puts each
-    strictly between ``-X/2`` and ``X/2``, so the balanced base-X digits of
-    ``Z(X)`` are the coefficients of Z and no remainder is left.
+    Slot width.  Let ``|p|`` be the sum of the absolute coefficients of an
+    integer polynomial, so ``|p p'| <= |p| |p'|``.  In a partition each index
+    i is the lowest of its block B, giving ``|omega_B|``, a term of
+    ``s_i = sum_(min B = i) |omega_B|``, or lies above it, giving 1, which
+    needs a key that holds i above its lowest index (``u_i = 1``, else 0).  So
+    every coefficient of ``D^q c`` is at most ``M = prod_i (s_i + u_i)`` in
+    absolute value, and ``2^(w-1) > M`` puts each inside ``(-X/2, X/2)``.
     """
     q, n = theta.q, 2 * theta.q
     if any(f.q != q for f in pieces):
@@ -283,20 +280,22 @@ def top_exp_poly(theta: AltForm, pieces: Sequence[AltForm]) -> list[Fraction]:
     den = math.lcm(theta.den, *(f.den for f in pieces[:q]))
     th = _scaled(theta, den)
     f1, *high = [_scaled(f, den ** i) for i, f in enumerate(pieces[:q], 1)] or [{}]
-    T = _exp_int([{}, *high], q, n)
-    big_a = max((abs(f1.get(m, 0)) + abs(th.get(m, 0)) for m in f1.keys() | th.keys()), default=0)
-    bound = sum(math.comb(q, j) * (math.factorial(2 * j) >> j) * big_a ** j
-                * sum(map(abs, T[q - j].values())) for j in range(q + 1))
-    w = bound.bit_length() + 1
-    G = {m: f1.get(m, 0) + (th.get(m, 0) << w) for m in f1.keys() | th.keys()}
-    a = q // 2
-    E = _exp_int([G], max([q - a, *(j for j in range(q) if T[q - j])]), n)
-    packed = _top_int(E[a], E[q - a], n) + sum(
-        math.comb(q, j) * _top_int(E[j], T[q - j], n) for j in range(q) if T[q - j])
+    pairs = f1.keys() | th.keys()
+    omega = {m: c for f in high for m, c in f.items()}
+    owner: dict[int, int] = {}  # s_i, by the bit of i
+    above = 0  # the bits of the indices with u_i = 1
+    for m, size in [*((m, abs(c)) for m, c in omega.items()),
+                    *((m, abs(f1.get(m, 0)) + abs(th.get(m, 0))) for m in pairs)]:
+        owner[m & -m] = owner.get(m & -m, 0) + size
+        above |= m & (m - 1)
+    w = math.prod(owner.get(1 << i, 0) + (above >> i & 1) for i in range(1, n + 1)).bit_length() + 1
+    omega.update((m, f1.get(m, 0) + (th.get(m, 0) << w)) for m in pairs)
+    full = (1 << (n + 1)) - 2
+    packed = _partition_sums(omega, [full])[full]
     coeffs, half = [], 1 << (w - 1)
     for _ in range(q + 1):
         c = ((packed + half) & (2 * half - 1)) - half
-        coeffs.append(Fraction(c, math.factorial(q) * den ** q))
+        coeffs.append(Fraction(c, den ** q))
         packed = (packed - c) >> w
     if packed:
         raise ArithmeticError("t-packed top evaluation left a remainder")

@@ -87,6 +87,25 @@ def test_abelian_volume_with_pi_probe():
     assert Fraction(out["unnormalized"]["factor_at_pi_probe"]) == 36 ** 2
 
 
+def test_probe_report_evaluates_the_volume_once(monkeypatch):
+    """``value_at_probe`` and ``unnormalized_at_probe`` share one evaluation,
+    which is most of the report's time at a long probe."""
+    calls = []
+    call = TPoly.__call__
+
+    def counting(self, value):
+        calls.append(value)
+        return call(self, value)
+
+    monkeypatch.setattr(TPoly, "__call__", counting)
+    doc = {"command": "quot-volume", "g": 2, "r": 2, "l": [0, 1], "d": 3,
+           "t": {"mode": "physical-t", "value": "1/2", "vol_X": "10/1", "pi_probe": "22/7"}}
+    t = run_job(parse_jobspec(doc))["t"]
+    assert calls == [Fraction(t["ttilde_at_probe"])]
+    assert Fraction(t["unnormalized_at_probe"]) == (
+        (4 * Fraction(22, 7) ** 2) ** 6 * Fraction(t["value_at_probe"]))
+
+
 def test_ttilde_value_flag():
     code, out, err = run_python(*CLI, "quot-volume", "--g", "2", "--r", "2", "--l", "1,1",
                                 "--d", "1", "--ttilde", "3/2")
@@ -379,6 +398,7 @@ def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):
     """One volume per job, from the closed form; the localization engine,
     which ``grothendieck_degree`` falls back on, never runs."""
     import quotvol.cli as cli
+    import quotvol.closed as closed
     import quotvol.grothendieck as grothendieck
 
     calls = []
@@ -389,7 +409,7 @@ def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):
             return original(*args, **kwargs)
         return count
 
-    monkeypatch.setattr(cli, "closed_volume", counting("closed", cli.closed_volume))
+    monkeypatch.setattr(closed, "closed_volume", counting("closed", closed.closed_volume))
     monkeypatch.setattr(cli, "quot_volume", counting("localization", cli.quot_volume))
     monkeypatch.setattr(grothendieck, "quot_volume",
                         counting("localization", grothendieck.quot_volume))

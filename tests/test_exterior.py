@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -241,3 +242,67 @@ def test_top_exp_poly_matches_exp_at_points(forms_):
 def test_top_exp_poly_rank_mismatch():
     with pytest.raises(ValueError, match="rank mismatch"):
         top_exp_poly(AltForm(2), [AltForm(1)])
+
+
+@st.composite
+def antisymmetric_pairs(draw):
+    """Two antisymmetric 2q x 2q matrices, q <= 4."""
+    n = 2 * draw(st.integers(0, 4))
+    cells = list(itertools.combinations(range(n), 2))
+    pair = []
+    for _ in range(2):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), v in zip(cells, draw(st.lists(COEFFS, min_size=len(cells),
+                                                  max_size=len(cells)))):
+            m[i][j], m[j][i] = v, -v
+        pair.append(m)
+    return pair
+
+
+@PROPERTY
+@given(antisymmetric_pairs())
+def test_top_exp_poly_of_two_degree_two_forms_is_a_pfaffian(pair):
+    # the top of exp(t theta + f_1) is the Pfaffian of t h + a, with h and a
+    # the matrices of theta and f_1: an oracle that shares no bitmask sign,
+    # packing or partition recursion with the kernel
+    h, a = pair
+    q = len(h) // 2
+    coeffs = top_exp_poly(theta_form(q, h), [theta_form(q, a)])
+    for t in range(-1, q + 2):
+        mixed = [[t * x + y for x, y in zip(row_h, row_a)] for row_h, row_a in zip(h, a)]
+        assert sum(c * t ** k for k, c in enumerate(coeffs)) == pfaffian(mixed)
+
+
+def dense_pieces(rng, q, n_dim):
+    """theta with every pair nonzero, and f_1, ..., f_(n_dim) nonzero on every key."""
+    def keys(k):
+        return itertools.combinations(range(1, 2 * q + 1), k)
+    theta = AltForm(q, {key: rng.choice((-3, -2, -1, 1, 2, 3)) for key in keys(2)})
+    pieces = [AltForm(q, {key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+                          for key in keys(2 * i)}) for i in range(1, n_dim + 1)]
+    return theta, pieces
+
+
+# Recorded from the earlier kernel, which formed exp(t theta + f_1) and
+# exp(f_2 + ...) as wedge powers and paired them at the top: 0.49 s and 4.1 s
+# there, against a few hundredths of a second for the partition recursion.
+@pytest.mark.parametrize("seed, q, n_dim, want", [
+    (7, 7, 2, ("-1763749/64", "2959785/64", "11784819/32", "919635/2", "794047/2",
+               "560313/2", "362799/2", "42349")),
+    (9, 9, 1, ("-9244663/16", "-94440735/256", "551052049/128", "259518701/64",
+               "-147996791/16", "142983147/16", "-115182971/4", "261959239/4",
+               "-5529477/2", "2776405")),
+])
+def test_top_exp_poly_pinned_on_dense_data(seed, q, n_dim, want):
+    theta, pieces = dense_pieces(random.Random(seed), q, n_dim)
+    assert top_exp_poly(theta, pieces) == [Fraction(c) for c in want]
+
+
+def test_top_exp_poly_depth_does_not_grow_with_q():
+    # 1200 disjoint pairs: one chain of 1200 partition sums, deeper than
+    # Python's recursion limit, so the kernel must not recurse
+    q = 1200
+    theta = AltForm(q, {(2 * i - 1, 2 * i): 1 for i in range(1, q + 1)})
+    started = time.perf_counter()
+    assert top_exp_poly(theta, []) == [0] * q + [1]
+    assert time.perf_counter() - started < 1.0

@@ -85,13 +85,14 @@ for name in quotvol.__all__:
 """
 
 # The quotvol modules a fresh interpreter holds after one statement: the root
-# loads each module on first use, and a CLI process loads the seven it binds.
+# loads each module on first use, and a CLI process loads the six it binds;
+# ``closed`` comes with the first curve job that reads the closed form.
 LOADED = [
     ("import quotvol", ["quotvol"]),
     ("from quotvol import closed_volume", ["quotvol", "quotvol.closed", "quotvol.scalars"]),
     ("from quotvol import quot_volume", ["quotvol", "quotvol.localization", "quotvol.scalars"]),
-    ("import quotvol.cli", ["quotvol", "quotvol.abelian", "quotvol.cli", "quotvol.closed",
-                            "quotvol.grothendieck", "quotvol.localization", "quotvol.scalars"]),
+    ("import quotvol.cli", ["quotvol", "quotvol.abelian", "quotvol.cli", "quotvol.grothendieck",
+                            "quotvol.localization", "quotvol.scalars"]),
 ]
 
 # the job document comes on the child's stdin
@@ -101,6 +102,7 @@ from quotvol import cli
 assert "quotvol.exterior" not in sys.modules
 assert cli.main(["acyclic-volume", "--format", "plain"]) == 0
 assert "quotvol.exterior" in sys.modules
+assert "quotvol.closed" not in sys.modules, "closed loaded by an acyclic job"
 """
 
 
