@@ -218,9 +218,10 @@ def _closed_form_work(r: int, d: int, bits: int) -> int:
 
 
 def _rank_one_work(g: int, d: int, bits: int) -> int:
-    """``symmetric_power_volume`` at genus g and colength d, when deg E takes ``bits``
-    bits: d (min(g, d) + 1) sums of fractions whose factorial parts take ``small``
-    words and the rest (powers of deg E, binomials of g) ``large``, and the d powers."""
+    """The rank-1 sum of ``symmetric_power_volume`` (``acyclic_volume`` at g = q) at
+    genus g and colength d, when deg E takes ``bits`` bits: d (min(g, d) + 1) sums of
+    fractions whose factorial parts take ``small`` words and the rest (powers of deg E,
+    binomials of g) ``large``, and the d powers."""
     d = min(d, WORK_LIMIT)
     small = d * d.bit_length() // 64 + 1
     large = (d * bits + min(g, d * g.bit_length())) // 64 + 1
@@ -251,29 +252,44 @@ def _bits(x: Fraction) -> int:
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
+def _report_plan(spec: JobSpec) -> tuple | None:
+    """``(degree, dim, fact, point, field_name, factor_line)``, or None for sweep
+    and verify: the volume's degree in ttilde; the metric volume is (4 pi^2)^dim
+    times it; a physical t is ttilde = fact t vol_X / (2 pi), fact the (n-1)! of
+    the base dimension (1 on a curve); the point the job evaluates the volume at
+    (or None) and the field that sets it; whether (4 pi^2)^dim prints by itself."""
+    p, command, pi = spec.problem, spec.command, spec.pi_probe
+    if command in ("sweep", "verify"):
+        return None
+    acyclic = command == "acyclic-volume"
+    degree = p.dimension if acyclic else p.d
+    dim = degree if acyclic or command == "abelian-volume" else p.r * degree
+    fact = math.factorial(p.n - 1) if acyclic else 1
+    point, field_name = None, "t.pi_probe"
+    if command == "grothendieck-degree":  # (rd)! Vol(n - g + 1)
+        point, field_name = Fraction(spec.n - p.g + 1), "n"
+    elif spec.t_mode == "ttilde-value":
+        point, field_name = spec.t_value, "t.value"
+    elif spec.t_mode == "physical-t" and pi is not None:
+        point = fact * spec.t_value * spec.vol_X / (2 * pi)
+    return degree, dim, fact, point, field_name, command == "abelian-volume"
+
+
 def _evaluation_work(spec: JobSpec) -> tuple[int, str]:
-    """The volume's value at a point, and the field that sets the point: Horner's
+    """The plan's evaluations, and the field that sets the point: Horner's
     products at a point of b bits reach about degree x b bits, a probe of pi
     multiplies by (4 pi^2)^dim, and computing and printing a number of s bits
     takes about s^2/400000 microseconds."""
-    p, command, pi = spec.problem, spec.command, spec.pi_probe
-    if command == "grothendieck-degree":  # (rd)! Vol(n - g + 1)
-        sizes, field_name = [min(p.d, WORK_LIMIT) * _bits(Fraction(spec.n - p.g + 1))], "n"
-    elif command in ("sweep", "verify") or (spec.t_value is None and pi is None):
+    plan, pi = _report_plan(spec), spec.pi_probe
+    if plan is None:  # sweep and verify evaluate nothing
         return 0, ""
-    else:
-        acyclic = command == "acyclic-volume"
-        degree = min(p.dimension if acyclic else p.d, WORK_LIMIT)
-        dim = degree * p.r if command == "quot-volume" else degree
-        power = 0 if pi is None else 2 * dim * _bits(pi)  # the bits of (4 pi^2)^dim
-        sizes = [power if command == "abelian-volume" else 0]  # the factor line
-        field_name = "t.value" if spec.t_mode == "ttilde-value" else "t.pi_probe"
-        if spec.t_mode == "ttilde-value":
-            sizes.append(degree * _bits(spec.t_value))
-        elif spec.t_mode == "physical-t" and pi is not None:
-            base = math.factorial(p.n - 1) if acyclic else 1
-            at = degree * _bits(base * spec.t_value * spec.vol_X / (2 * pi))
-            sizes += [at, at + power]  # value_at_probe, unnormalized_at_probe
+    degree, dim, _, point, field_name, factor_line = plan
+    power = 0 if pi is None else 2 * min(dim, WORK_LIMIT) * _bits(pi)  # the bits of (4 pi^2)^dim
+    sizes = [power if factor_line else 0]
+    if point is not None:
+        at = min(degree, WORK_LIMIT) * _bits(point)
+        # at the probe, the value and the value times (4 pi^2)^dim
+        sizes += [at, at + power] if field_name == "t.pi_probe" else [at]
     return sum(s * s for s in sizes) // 400000, field_name
 
 
@@ -316,9 +332,13 @@ def parse_jobspec(doc: dict) -> JobSpec:
         weights = weights or _default_verify_weights(r)
 
     if command == "acyclic-volume":
-        from .exterior import _parse_acyclic  # only acyclic jobs load the exterior algebra
+        from .exterior import _parse_acyclic, _partition_work  # loaded by acyclic jobs alone
         problem = _parse_acyclic(doc, ints["n_dim"], ints["q"])
-        work = 0  # no estimate of the exterior algebra's work yet
+        work = _partition_work(problem, WORK_LIMIT)
+        _within_budget(work, "q")
+        # then the rank-1 sum to N = rank + q - 1, which the pairings set
+        work += _rank_one_work(problem.q, problem.dimension, _bits(problem.deg_E))
+        _within_budget(work, "pairings")
     elif command == "abelian-volume":
         # a degree list has one entry per summand: one on a curve, else r
         if len(l) != 1:
@@ -358,45 +378,41 @@ def parse_jobspec(doc: dict) -> JobSpec:
         problem = rows if sweep else rows[0]
     spec = JobSpec(command, out_format, problem, weights, ints.get("n"), *t_section, doc)
     evaluation, field_name = _evaluation_work(spec)
-    if evaluation:  # after the engine's own check, whose field and message stand
-        _within_budget(work + evaluation, field_name)
+    # after the engine's own check, whose field and message stand
+    _within_budget(work + evaluation, field_name)
     return spec
 
 
 # ---------------------------------------------------------------------------
 # t-mode reporting
 
-def _t_report(spec: JobSpec, volume: TPoly, dim: int, base_dim: int = 1) -> dict | None:
+def _t_report(spec: JobSpec, volume: TPoly) -> tuple[dict | None, dict | None]:
+    """The ``t`` report and the ``unnormalized`` block, as the plan says; pi stays
+    symbolic unless a rational probe is supplied, and probe results are not exact."""
+    _, dim, fact, point, field_name, factor_line = _report_plan(spec)
+    pi, power = spec.pi_probe, f"(4*pi^2)^{dim}"
+    probe = point is not None and field_name == "t.pi_probe"
+    factor = (4 * pi ** 2) ** dim if pi is not None and (factor_line or probe) else None
+    unnormalized = {"expression": f"{power} * volume"} if factor_line else None
+    if factor_line and factor is not None:
+        unnormalized["factor_at_pi_probe"] = format_fraction(factor)
     if spec.t_mode == "ttilde-symbolic":
-        return None
+        return None, unnormalized
+    value = None if point is None else volume(point)
     if spec.t_mode == "ttilde-value":
-        return {
-            "mode": "ttilde-value",
-            "ttilde": format_fraction(spec.t_value),
-            "value": format_fraction(volume(spec.t_value)),
-        }
-    # physical-t: ttilde = (n-1)! t vol_X / (2 pi), n the base dimension
-    # (the factorial is 1 on a curve); pi stays symbolic unless a rational
-    # probe is supplied, and probe results are not exact.
-    fact = math.factorial(base_dim - 1)
-    report = {
-        "mode": "physical-t",
-        "t": format_fraction(spec.t_value),
-        "vol_X": format_fraction(spec.vol_X),
-        "substitution": f"ttilde = {fact}*t*vol_X/(2*pi)",
-        "unnormalized_factor": f"(4*pi^2)^{dim}",
-        "exact": False,
-    }
-    if spec.pi_probe is not None:
-        ttilde = fact * spec.t_value * spec.vol_X / (2 * spec.pi_probe)
-        report["pi_probe"] = format_fraction(spec.pi_probe)
-        report["ttilde_at_probe"] = format_fraction(ttilde)
-        value = volume(ttilde)
-        report["value_at_probe"] = format_fraction(value)
-        report["unnormalized_at_probe"] = format_fraction((4 * spec.pi_probe ** 2) ** dim * value)
+        return ({"mode": "ttilde-value", "ttilde": format_fraction(point),
+                 "value": format_fraction(value)}, unnormalized)
+    report = {"mode": "physical-t", "t": format_fraction(spec.t_value),
+              "vol_X": format_fraction(spec.vol_X),
+              "substitution": f"ttilde = {fact}*t*vol_X/(2*pi)",
+              "unnormalized_factor": power, "exact": False}
+    if probe:
+        report.update(pi_probe=format_fraction(pi), ttilde_at_probe=format_fraction(point),
+                      value_at_probe=format_fraction(value),
+                      unnormalized_at_probe=format_fraction(factor * value))
     else:
         report["note"] = "supply t.pi_probe for a numeric evaluation"
-    return report
+    return report, unnormalized
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +443,17 @@ def run_job(spec: JobSpec) -> dict:
             _emit_volume({"g": p.g, "r": p.r, "d": p.d, "l": list(p.l)}, spec, closed_volume(p))
             for p in problem
         ]
-    elif spec.command == "abelian-volume":
-        volume = symmetric_power_volume(problem)
-        _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.d))
-        result["unnormalized"] = {"expression": f"(4*pi^2)^{problem.d} * volume"}
-        if spec.pi_probe is not None:
-            result["unnormalized"]["factor_at_pi_probe"] = format_fraction(
-                (4 * spec.pi_probe ** 2) ** problem.d
-            )
-    elif spec.command == "acyclic-volume":
-        volume = acyclic_volume(problem)
-        _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.dimension, problem.n))
-    elif spec.command == "quot-volume":
-        from .closed import closed_volume
-        volume = quot_volume(problem, spec.weights[0]) if spec.weights else closed_volume(problem)
-        _emit_volume(result, spec, volume, t=_t_report(spec, volume, problem.r * problem.d))
+    elif spec.command in ("abelian-volume", "acyclic-volume", "quot-volume"):
+        if spec.command == "quot-volume":
+            from .closed import closed_volume
+            volume = quot_volume(problem, spec.weights[0]) if spec.weights else closed_volume(problem)
+        else:
+            abelian = spec.command == "abelian-volume"
+            volume = (symmetric_power_volume if abelian else acyclic_volume)(problem)
+        report, unnormalized = _t_report(spec, volume)
+        _emit_volume(result, spec, volume, t=report)
+        if unnormalized is not None:
+            result["unnormalized"] = unnormalized
     elif spec.command == "grothendieck-degree":
         from .closed import closed_volume
         volume = closed_volume(problem)
@@ -449,16 +461,9 @@ def run_job(spec: JobSpec) -> dict:
     else:  # verify
         report = verify_weight_independence(problem, spec.weights)
         result["verify"] = {
-            "suite": "weight-independence",
-            "pass": report.passed,
-            "candidates": len(spec.weights),
-            "volumes": [
-                {
-                    "weights": [format_fraction(x) for x in w.w],
-                    "coefficients": poly_coefficients(v),
-                }
-                for w, v in report.volumes
-            ],
+            "suite": "weight-independence", "pass": report.passed, "candidates": len(spec.weights),
+            "volumes": [{"weights": [format_fraction(x) for x in w.w],
+                         "coefficients": poly_coefficients(v)} for w, v in report.volumes],
         }
     return result
 
@@ -481,22 +486,17 @@ def render_result_plain(result: dict) -> str:
         else:
             lines.append(f"substitution: {t['substitution']} (not exact in pi)")
             if "value_at_probe" in t:
-                lines.append(
-                    f"value at pi = {t['pi_probe']}, t = {t['t']}, vol_X = {t['vol_X']}: "
-                    f"{t['value_at_probe']}"
-                )
+                lines.append(f"value at pi = {t['pi_probe']}, t = {t['t']}, "
+                             f"vol_X = {t['vol_X']}: {t['value_at_probe']}")
     if "degree" in result:
         lines.append(f"degree = {result['degree']}")
     if "verify" in result:
         v = result["verify"]
-        lines.append(
-            f"{v['suite']}: {'pass' if v['pass'] else 'FAIL'} ({v['candidates']} candidates)"
-        )
+        lines.append(f"{v['suite']}: {'pass' if v['pass'] else 'FAIL'} "
+                     f"({v['candidates']} candidates)")
     for row in result.get("rows", ()):
         poly = render_plain(_poly_from_document(row["volume"]))
-        lines.append(
-            f"g={row['g']} r={row['r']} d={row['d']} l={tuple(row['l'])}: {poly}"
-        )
+        lines.append(f"g={row['g']} r={row['r']} d={row['d']} l={tuple(row['l'])}: {poly}")
     return "\n".join(lines)
 
 

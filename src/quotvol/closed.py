@@ -21,7 +21,11 @@ is Lagrange inversion of ``symmetric_power_volume``; for r >= 2 the tests
 hold it to ``quot_volume``; for r = 2 to 5 they also match ``log A_r`` with
 the log of the product above, over Q, Q(zeta_3), Q(i) and Q(zeta_5).  The
 ``ttilde^d`` term comes from ``(r ttilde log B_r)^d/d!`` alone, so the
-degree is exactly d.
+degree is exactly d.  The q-exponential below is checked by a second route,
+the Lagrange-Buermann form: with Q the compositional inverse of log B_r,
+``Vol = sum_(k<=d) h_k s^(d-k)/(d-k)!``, s = |l| + r ttilde and
+``h_k = [w^k] A_r(Q(w))^(g-1) Q'(w) (w/Q(w))^(d+1)``
+(``tests/test_closed_form.py``).
 
 All of it runs on integers in exponential coordinates (the power-series log
 and exp recurrences of Brent and Kung, 1978); one exact division per

@@ -3,13 +3,14 @@ import itertools
 import json
 import random
 import time
+import warnings
 from fractions import Fraction
 
 from clirun import ACYCLIC, run_main, run_python
 from quotvol import cli
 from quotvol.abelian import AcyclicData, CurveQuotProblem
 from quotvol.cli import parse_fraction, parse_jobspec, render_latex, render_plain, run_job
-from quotvol.exterior import AltForm
+from quotvol.exterior import AltForm, curve_acyclic_data
 from quotvol.localization import QuotProblem
 from quotvol.scalars import TPoly
 
@@ -312,9 +313,31 @@ def test_negative_sweep_genus_is_an_input_error():
     assert "input error at 'g_values[0]'" in err
 
 
+def dense_theta_doc(q):
+    """An acyclic job whose theta is dense, entry (j - i) mod 5 + 1 above the
+    diagonal, with no other form: its partition sums grow about 3x per step in q."""
+    h = [[(j - i) % 5 + 1 if i < j else -((i - j) % 5 + 1) if i > j else 0
+          for j in range(2 * q)] for i in range(2 * q)]
+    return {"command": "acyclic-volume", "n_dim": 1, "q": q, "deg_E": 0, "pairings": [3, 0],
+            "h": h, "kappa": [{"i": 1, "s": 0, "terms": []}]}
+
+
+def acyclic_doc(data):
+    """The job document of the pairing data ``data``."""
+    frac = cli.format_fraction
+    kappa = [{"i": i, "s": s, "terms": [{"indices": list(k), "coeff": frac(c)}
+                                        for k, c in form.terms.items()]}
+             for (i, s), form in data.kappa_forms.items()]
+    return {"command": "acyclic-volume", "n_dim": data.n, "q": data.q, "deg_E": frac(data.deg_E),
+            "pairings": [frac(p) for p in data.pairings],
+            "h": [[frac(x) for x in row] for row in data.h], "kappa": kappa}
+
+
 # Jobs that would run for minutes to ages: the work budget refuses them at d
-# (at r for the localization engine, which verify runs), or at the point the
-# volume is evaluated at when that evaluation tips the job over.
+# (at r for the localization engine, which verify runs; at q for the partition
+# sums of an acyclic job, at pairings for its rank-1 sum to N = rank + q - 1),
+# or at the point the volume is evaluated at when that evaluation tips the job
+# over.  The q = 16 job ran over a minute on a 2 vCPU box before its budget.
 BIG = "9" * 4000
 RUNAWAY_JOBS = [
     ({"command": "abelian-volume", "g": 1, "l": [2], "d": 200000}, "d"),
@@ -326,6 +349,12 @@ RUNAWAY_JOBS = [
       "t": {"mode": "ttilde-value", "value": BIG}}, "t.value"),
     ({"command": "grothendieck-degree", "g": 2, "r": 2, "l": [0, 1], "d": 200, "n": int(BIG)},
      "n"),
+]
+# kept apart and listed last below, because parameter ids count positions
+ACYCLIC_RUNAWAY_JOBS = [
+    (dense_theta_doc(16), "q"),
+    ({"command": "acyclic-volume", "n_dim": 1, "q": 0, "deg_E": "7/3", "pairings": [10 ** 6, 0],
+      "h": []}, "pairings"),
 ]
 
 
@@ -364,6 +393,7 @@ RUNAWAY_JOBS = [
           "t": {"mode": "ttilde-value", "value": True}}, "t.value"),
         ([1], "$"),
         ({"command": "nope"}, "command"),
+        *ACYCLIC_RUNAWAY_JOBS,
     ],
 )
 def test_domain_bounds_name_the_field(doc, field_name):
@@ -376,7 +406,7 @@ def test_domain_bounds_name_the_field(doc, field_name):
     assert info.value.field_name == field_name
 
 
-@pytest.mark.parametrize("doc, field_name", RUNAWAY_JOBS)
+@pytest.mark.parametrize("doc, field_name", RUNAWAY_JOBS + ACYCLIC_RUNAWAY_JOBS)
 def test_runaway_job_exits_2_before_it_starts(doc, field_name):
     """The work budget refuses each job from its sizes, before any of it runs."""
     started = time.perf_counter()
@@ -392,6 +422,57 @@ def test_evaluation_within_the_budget_is_accepted():
     doc = {"command": "quot-volume", "g": 2, "r": 2, "l": [0, 1], "d": 100,
            "t": {"mode": "ttilde-value", "value": BIG}}
     assert parse_jobspec(doc).problem == QuotProblem(2, 2, (0, 1), 100)
+
+
+def test_acyclic_jobs_within_the_budget_are_accepted():
+    """Dense theta at q = 14 (about 7 s), dense n_dim = 2 data at q = 9 (about
+    1.5 s) and the curve case at g = 40 run; only parsing is timed here."""
+    from test_abelian import dense_acyclic_data
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curve = curve_acyclic_data(40, 1, 200, 0)
+    for doc in (dense_theta_doc(14), acyclic_doc(dense_acyclic_data(random.Random(0), 9, 2)),
+                acyclic_doc(curve)):
+        started = time.perf_counter()
+        assert parse_jobspec(doc).problem.q == doc["q"]
+        assert time.perf_counter() - started < 2.0
+
+
+# every command that evaluates its volume, under each t mode
+EVALUATED = [
+    {"command": "quot-volume", "g": 1, "r": 2, "l": [0, 1], "d": 2},
+    {"command": "abelian-volume", "g": 2, "l": [5], "d": 3},
+    {"command": "acyclic-volume", "n_dim": 3, "q": 0, "deg_E": "1/1",
+     "pairings": ["4/1", "0/1", "0/1", "6/1"], "h": []},
+    ACYCLIC,
+    {"command": "grothendieck-degree", "g": 1, "r": 2, "l": [0, 1], "d": 2, "n": 4},
+]
+T_SECTIONS = {
+    "symbolic": None,
+    "value": {"mode": "ttilde-value", "value": "-5/3"},
+    "physical": {"mode": "physical-t", "value": "1/2", "vol_X": "7/1"},
+    "physical-probe": {"mode": "physical-t", "value": "1/2", "vol_X": "7/1", "pi_probe": "22/7"},
+    "value-probe": {"mode": "ttilde-value", "value": "-5/3", "pi_probe": "22/7"},
+}
+
+
+@pytest.mark.parametrize("t", T_SECTIONS.values(), ids=T_SECTIONS)
+@pytest.mark.parametrize("job", EVALUATED, ids=lambda job: f"{job['command']}-{job.get('n_dim')}")
+def test_the_budget_sizes_the_point_the_report_evaluates(monkeypatch, job, t):
+    """The volume is evaluated at the plan's point and nowhere else, and the
+    evaluation budget sizes that point: every rational whose bits it reads is
+    the point or the probe of pi."""
+    spec = parse_jobspec({**job, "t": t} if t else job)
+    point = cli._report_plan(spec)[3]
+    sized, evaluated = [], []
+    bits, call = cli._bits, TPoly.__call__
+    monkeypatch.setattr(cli, "_bits", lambda x: sized.append(x) or bits(x))
+    cli._evaluation_work(spec)
+    monkeypatch.setattr(TPoly, "__call__", lambda p, x: evaluated.append(x) or call(p, x))
+    run_job(spec)
+    assert evaluated == ([] if point is None else [point])
+    assert [x for x in sized if x != spec.pi_probe] == evaluated
 
 
 def test_grothendieck_degree_job_computes_the_volume_once(monkeypatch):

@@ -25,6 +25,7 @@ from quotvol.abelian import CurveQuotProblem, symmetric_power_volume
 from quotvol.closed import _log_a, closed_volume
 from quotvol.grothendieck import grothendieck_degree
 from quotvol.localization import QuotProblem, quot_volume
+from quotvol.scalars import TPoly
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -275,3 +276,64 @@ def test_log_a_at_rank_four_is_the_log_of_the_product():
 def test_log_a_at_rank_five_is_the_log_of_the_product():
     """Over Q(zeta_5), of degree 4, to q^4."""
     _assert_log_a_is_the_log_of_the_product(5, 4)
+
+
+# ---------------------------------------------------------------------------
+# the q-exponential by a second route: Lagrange-Buermann
+
+def _series_exp(f, n):
+    """``exp f`` to order n for a series with ``f[0] == 0``:
+    ``k E_k = sum_(j<=k) j f_j E_(k-j)``."""
+    e = [Fraction(1)] + [Fraction(0)] * n
+    for k in range(1, n + 1):
+        e[k] = sum(j * f[j] * e[k - j] for j in range(1, k + 1)) / k
+    return e
+
+
+def _series_mul(a, b, n):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+
+def _lagrange_buermann_volume(g, r, l_total, d):
+    """``sum_(k<=d) h_k s^(d-k)/(d-k)!``, s = |l| + r ttilde, with
+    ``h_k = [w^k] A_r(Q(w))^(g-1) Q'(w) (w/Q(w))^(d+1)`` and Q the compositional
+    inverse of L = log B_r: the residue ``[q^d] A_r^(g-1) e^(s L)`` after the
+    change of variables q = Q(w) (Stanley, Enumerative Combinatorics 2, 5.4).
+    Q comes from Lagrange inversion, ``[w^m] Q = [q^(m-1)] (q/L)^m / m``, and
+    A_r(Q(w)) from log A_r, read off ``_log_a``, by naive composition; no step
+    of the rho recurrence of ``closed_volume`` is used."""
+    n = d + 1  # Q to w^(d+1), so that Q' and Q/w reach w^d
+    log_b = [Fraction(0)] + [Fraction((-1) ** (k - 1) * k ** (r * k - 1), math.factorial(r * k))
+                             for k in range(1, n + 1)]
+    log_u = _series_log([c / log_b[1] for c in log_b[1:]], n - 1)  # L = L_1 q U(q)
+    Q = [Fraction(0)] + [_series_exp([-m * c for c in log_u], m - 1)[m - 1] / (m * log_b[1] ** m)
+                         for m in range(1, n + 1)]
+    log_a = [Fraction(0)] + [Fraction(r * r * (-1) ** k * a, math.factorial(r * k) * r ** (r * k))
+                             for k, a in enumerate(_log_a(r, d), 1)]
+    composed, power = [Fraction(0)] * (d + 1), [Fraction(1)] + [Fraction(0)] * d
+    for j in range(1, d + 1):
+        power = _series_mul(power, Q, d)
+        composed = [x + log_a[j] * y for x, y in zip(composed, power)]
+    h = _series_mul(_series_exp([(g - 1) * c for c in composed], d),
+                    [k * Q[k] for k in range(1, n + 1)], d)  # times Q'
+    log_v = _series_log([c / Q[1] for c in Q[1:]], d)  # Q/w = Q_1 V(w)
+    h = _series_mul(h, [c / Q[1] ** n for c in _series_exp([-n * c for c in log_v], d)], d)
+    coeffs = [Fraction(0)] * (d + 1)
+    for k, hk in enumerate(h):  # s^m/m! = sum_j C(m, j) |l|^(m-j) r^j ttilde^j / m!
+        m = d - k
+        for j in range(m + 1):
+            coeffs[j] += hk * math.comb(m, j) * l_total ** (m - j) * r ** j / math.factorial(m)
+    return TPoly(coeffs)
+
+
+def _splittings(r):
+    return [tuple(range(r)), tuple(3 - 2 * i for i in range(r)), (5,) + (-1,) * (r - 1)]
+
+
+def test_closed_form_is_the_lagrange_buermann_sum():
+    """g <= 3, r <= 4, d <= 5, three splittings each, and two larger shapes."""
+    shapes = [(g, r, d) for g in range(4) for r in range(1, 5) for d in range(6)]
+    for g, r, d in shapes + [(2, 2, 20), (2, 5, 12)]:
+        for l in _splittings(r):
+            expected = _lagrange_buermann_volume(g, r, sum(l), d)
+            assert closed_volume(QuotProblem(g=g, r=r, l=l, d=d)) == expected, (g, r, l, d)
