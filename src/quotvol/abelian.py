@@ -76,6 +76,20 @@ def _shifted_sum(x: Fraction | int, n: int, c: Sequence[Fraction | int]) -> TPol
                  for m in range(n + 1))
 
 
+def _shifted_sum_work(x: Fraction | int, n: int, terms: int, c_bits: int, limit: int) -> int:
+    """Microseconds of ``_shifted_sum(x, n, c)``, c of ``terms`` entries of at most ``c_bits``
+    bits, n clamped at ``limit``, fitted on a 2 vCPU box: n w^1.5 for the factorials and
+    the m! divisions (w the words of n!); for each of the ``sums`` terms read, a pass over
+    c_k and, when x != 0, a reduction of c_k, x^n and factorials k apart against n!."""
+    x, n = Fraction(x), min(n, limit)
+    t, lg = min(terms, n + 1), n.bit_length()
+    sums, words = t * (2 * n + 3 - t) // 2, n * lg // 64 + 1
+    xbits = n * (x.numerator.bit_length() + x.denominator.bit_length() - 2)  # of x^n
+    per = 4 + c_bits // 6400 + (5 + n * lg * (2 * t * lg + xbits + c_bits // 2) // 800000
+                                if x else 0)
+    return n * (words * math.isqrt(words) // 25 + 11) + sums * per
+
+
 def symmetric_power_volume(p: CurveQuotProblem) -> TPoly:
     """Normalized volume of the d-th symmetric power.
 

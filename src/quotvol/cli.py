@@ -20,11 +20,13 @@ import time
 from fractions import Fraction
 from typing import NoReturn, Sequence
 
-from .abelian import CurveQuotProblem, acyclic_volume, symmetric_power_volume
+from .abelian import (CurveQuotProblem, _shifted_sum_work, acyclic_volume,
+                      symmetric_power_volume)
 from .grothendieck import grothendieck_degree
 from .localization import (
     QuotProblem,
     WeightVector,
+    _localization_work,
     default_weights,
     quot_volume,
     verify_weight_independence,
@@ -198,54 +200,11 @@ def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
 # ---------------------------------------------------------------------------
 # work budget
 
-# A curve job whose estimated running time passes WORK_LIMIT microseconds is
-# refused before it starts.  Each estimate reads the sizes of the job alone;
-# its constants are fitted on a 2 vCPU box, and every size is clamped at the
-# limit first, so that a huge input costs the estimate no more than a small one.
+# A job whose estimated running time passes WORK_LIMIT microseconds is refused
+# before it starts.  Each engine module prices its own work from the job's sizes
+# (the ``_*_work`` functions of closed, localization, abelian and exterior), each
+# size clamped at the limit, so a huge input costs no more to price than a small one.
 WORK_LIMIT = 10 ** 7  # ten seconds
-
-
-def _closed_form_work(r: int, d: int, bits: int) -> int:
-    """``closed_volume`` at rank r and colength d, when g and |l| take ``bits`` bits:
-    the (rd)^2/2 steps of ``_log_a`` and their cyclic products on integers of
-    about rd lg(rd) bits, then d^3/3 products of rho on integers of d (r lg(rd) + bits)."""
-    r, d = min(r, WORK_LIMIT), min(d, WORK_LIMIT)
-    n, m = r * d, min(r, r * d)
-    lg = n.bit_length()
-    cyclic = r * (3 * n * m * m - 2 * m ** 3 + 3 * r * (n - m) ** 2) // 6
-    return (2 * n * n + cyclic * (770 + n * lg) // 7700
-            + d ** 3 * (417 + d * (r * lg + bits)) // 6250 + 20)
-
-
-def _rank_one_work(g: int, d: int, bits: int) -> int:
-    """The rank-1 sum of ``symmetric_power_volume`` (``acyclic_volume`` at g = q) at
-    genus g and colength d, when deg E takes ``bits`` bits: d (min(g, d) + 1) sums of
-    fractions whose factorial parts take ``small`` words and the rest (powers of deg E,
-    binomials of g) ``large``, and the d powers."""
-    d = min(d, WORK_LIMIT)
-    small = d * d.bit_length() // 64 + 1
-    large = (d * bits + min(g, d * g.bit_length())) // 64 + 1
-    sums = d * (min(g, d) + 1) * (small + large) * small
-    return (sums + d * large * math.isqrt(large)) // 250 + 20
-
-
-def _localization_work(p: QuotProblem, weights: tuple[WeightVector, ...]) -> int:
-    """``quot_volume`` once per weight vector: per composition, r^2 cross factors
-    on keys of r + 1 exponents, r d^2 series terms and g products per summand, on
-    rationals that grow with the exponents (g + spread of l + d) times the weights'
-    bits; times C(d + r - 1, r - 1), whose product stops once past the limit."""
-    r, d, g = (min(x, WORK_LIMIT) for x in (p.r, p.d, p.g))
-    spread = min(max(p.l) - min(p.l), WORK_LIMIT)
-    bits = max(_bits(x) for w in weights for x in w.w)
-    per = ((50 * r * r + 3 * r ** 3 // 10 + 85 * r * d * d
-            + 7 * r * (r + 1) * g * (d + 1) * (r * d + 1) // 10)
-           * (3200 + (g + spread + d) * bits) // 3200 * len(weights))
-    count, k = 1, min(d, r - 1)
-    for i in range(1, k + 1):
-        if count * per > WORK_LIMIT:
-            break
-        count = count * (d + r - 1 - k + i) // i
-    return count * per
 
 
 def _bits(x: Fraction) -> int:
@@ -336,15 +295,16 @@ def parse_jobspec(doc: dict) -> JobSpec:
         problem = _parse_acyclic(doc, ints["n_dim"], ints["q"])
         work = _partition_work(problem, WORK_LIMIT)
         _within_budget(work, "q")
-        # then the rank-1 sum to N = rank + q - 1, which the pairings set
-        work += _rank_one_work(problem.q, problem.dimension, _bits(problem.deg_E))
+        # then the rank-1 sum to N = rank + q - 1 (the pairings set it), c as at genus q
+        work += _shifted_sum_work(problem.deg_E, problem.dimension, problem.q + 1,
+                                  problem.q, WORK_LIMIT)
         _within_budget(work, "pairings")
     elif command == "abelian-volume":
         # a degree list has one entry per summand: one on a curve, else r
         if len(l) != 1:
             raise InputError("l", "abelian-volume takes a single degree [deg_E0]")
         problem = CurveQuotProblem(g=g, deg_E=l[0] - d, d=d)
-        work = _rank_one_work(g, d, problem.deg_E.bit_length())
+        work = _shifted_sum_work(problem.deg_E, d, g + 1, min(g, d * g.bit_length()), WORK_LIMIT)
         _within_budget(work, "d")
     else:
         # rows in (g, d, l) order: a sweep's ranges, or the job's one (g, d, l)
@@ -363,13 +323,14 @@ def parse_jobspec(doc: dict) -> JobSpec:
         gs, ds = ranges.get("g_values", (g,)), ranges.get("d_values", (d,))
         parts = partitions if partitions is not None else (l,)
         if weights:
-            work = _localization_work(QuotProblem(g=g, r=r, l=l, d=d), weights)
+            work = _localization_work(QuotProblem(g=g, r=r, l=l, d=d), weights, WORK_LIMIT)
         else:
+            from .closed import _closed_form_work
             bits = max(gs, default=0).bit_length() + max(
                 (abs(sum(part)) for part in parts), default=0).bit_length()
             work = 0
             for di in ds:  # stop at the first d past the limit: d_values may be long
-                work += len(gs) * len(parts) * _closed_form_work(r, di, bits)
+                work += len(gs) * len(parts) * _closed_form_work(r, di, bits, WORK_LIMIT)
                 if work > WORK_LIMIT:
                     break
         _within_budget(work, "r" if weights else "d" if d is not None else "d_values")
@@ -433,19 +394,19 @@ def run_job(spec: JobSpec) -> dict:
 
     Volumes come from the closed form, except where the job names torus
     weights (a weighted ``quot-volume``, ``verify``): those are inputs of the
-    localization engine, which then runs.  Only the curve jobs that may read
-    the closed form import it, so a rank-1 or acyclic job never loads it."""
+    localization engine, which then runs.  Only the jobs that read the closed
+    form import it, so a weighted, rank-1 or acyclic job never loads it."""
     problem = spec.problem
     result = {"schema": SCHEMA_VERSION, "input": spec.echo}
-    if spec.command == "sweep":
+    if spec.command in ("sweep", "quot-volume", "grothendieck-degree") and not spec.weights:
         from .closed import closed_volume
+    if spec.command == "sweep":
         result["rows"] = [
             _emit_volume({"g": p.g, "r": p.r, "d": p.d, "l": list(p.l)}, spec, closed_volume(p))
             for p in problem
         ]
     elif spec.command in ("abelian-volume", "acyclic-volume", "quot-volume"):
         if spec.command == "quot-volume":
-            from .closed import closed_volume
             volume = quot_volume(problem, spec.weights[0]) if spec.weights else closed_volume(problem)
         else:
             abelian = spec.command == "abelian-volume"
@@ -455,7 +416,6 @@ def run_job(spec: JobSpec) -> dict:
         if unnormalized is not None:
             result["unnormalized"] = unnormalized
     elif spec.command == "grothendieck-degree":
-        from .closed import closed_volume
         volume = closed_volume(problem)
         _emit_volume(result, spec, volume, degree=grothendieck_degree(problem, spec.n, volume))
     else:  # verify

@@ -71,6 +71,18 @@ def _log_a(r: int, d: int) -> list[int]:
     return [(r * n) ** (r * n - 1) - logs[r * n][0] for n in range(1, d + 1)]
 
 
+def _closed_form_work(r: int, d: int, bits: int, limit: int) -> int:
+    """``closed_volume`` at rank r and colength d, when g and |l| take ``bits`` bits:
+    the (rd)^2/2 steps of ``_log_a`` and their cyclic products on integers of
+    about rd lg(rd) bits, then d^3/3 products of rho on integers of d (r lg(rd) + bits)."""
+    r, d = min(r, limit), min(d, limit)
+    n, m = r * d, min(r, r * d)
+    lg = n.bit_length()
+    cyclic = r * (3 * n * m * m - 2 * m ** 3 + 3 * r * (n - m) ** 2) // 6
+    return (2 * n * n + cyclic * (770 + n * lg) // 7700
+            + d ** 3 * (417 + d * (r * lg + bits)) // 6250 + 20)
+
+
 def closed_volume(p: QuotProblem) -> TPoly:
     """Normalized volume of the Quot space, a polynomial of degree exactly
     ``d`` in the stability variable; equal to ``quot_volume(p)`` (proved for

@@ -12,7 +12,7 @@ All products run on this integer core.  A key is the mask with bit ``i``
 set for ``i`` in ``I``: two keys are disjoint when their masks are, and the
 shuffle sign of ``I`` followed by ``J`` is the parity of ``(p_I & mask_J)``,
 where ``p_I`` is the XOR of ``(1 << i) - 1`` over ``i`` in ``I``.
-``_wedge_into`` is the one wedge loop.  Exponentials form no wedge power:
+``AltForm.wedge`` is the one wedge loop.  Exponentials form no wedge power:
 even keys commute, so ``exp(omega)`` on a key K is a signed sum over the
 partitions of K into keys, which ``_partition_sums`` expands along the lowest
 index of K (the first-row Pfaffian expansion, blocks of any even size).  With
@@ -70,10 +70,6 @@ def _parity(mask: int) -> int:
     return parity
 
 
-def _key(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(1, n + 1) if mask >> i & 1)
-
-
 def _scaled(form: AltForm, den: int) -> dict[int, int]:
     """The numerators of ``form`` over ``den``, a multiple of ``form.den``."""
     f = den // form.den
@@ -88,18 +84,6 @@ def _form(q: int, ints: Mapping[int, int], den: int) -> AltForm:
     result.ints = {m: c // g for m, c in ints.items() if c}
     result.den = den // g
     return result
-
-
-def _wedge_into(acc: dict[int, int], a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """Add the wedge of the integer forms ``a`` and ``b`` into ``acc``."""
-    right = list(b.items())
-    for ma, x in a.items():
-        pa = _parity(ma)
-        for mb, y in right:
-            if not ma & mb:
-                m = ma | mb
-                acc[m] = acc.get(m, 0) + (-x * y if (pa & mb).bit_count() & 1 else x * y)
-    return acc
 
 
 def _partition_sums(omega: Mapping[int, int], targets: Iterable[int]) -> dict[int, int]:
@@ -192,7 +176,9 @@ class AltForm:
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """The coefficients as a new ``{index tuple: Fraction}`` dict."""
-        return {_key(m, 2 * self.q): Fraction(c, self.den) for m, c in self.ints.items()}
+        n = 2 * self.q
+        return {tuple(i for i in range(1, n + 1) if m >> i & 1): Fraction(c, self.den)
+                for m, c in self.ints.items()}
 
     @classmethod
     def zero(cls, q: int) -> AltForm:
@@ -247,7 +233,15 @@ class AltForm:
             raise TypeError("wedge expects an AltForm")
         if self.q != other.q:
             raise ValueError("rank mismatch")
-        return _form(self.q, _wedge_into({}, self.ints, other.ints), self.den * other.den)
+        acc: dict[int, int] = {}
+        right = list(other.ints.items())
+        for ma, x in self.ints.items():
+            pa = _parity(ma)
+            for mb, y in right:
+                if not ma & mb:
+                    m = ma | mb
+                    acc[m] = acc.get(m, 0) + (-x * y if (pa & mb).bit_count() & 1 else x * y)
+        return _form(self.q, acc, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltForm):

@@ -219,6 +219,26 @@ def quot_volume(p: QuotProblem, w: WeightVector | None = None) -> TPoly:
     return total * Fraction(_sign(p), math.factorial(p.r * p.d))
 
 
+def _localization_work(p: QuotProblem, weights: Sequence[WeightVector], limit: int) -> int:
+    """``quot_volume`` once per weight vector: per composition, r^2 cross factors
+    on keys of r + 1 exponents, r d^2 series terms and g products per summand, on
+    rationals that grow with the exponents (g + spread of l + d) times the weights'
+    bits; times C(d + r - 1, r - 1), whose product stops once past ``limit``."""
+    r, d, g = (min(x, limit) for x in (p.r, p.d, p.g))
+    spread = min(max(p.l) - min(p.l), limit)
+    bits = max(x.numerator.bit_length() + x.denominator.bit_length()
+               for w in weights for x in w.w)
+    per = ((50 * r * r + 3 * r ** 3 // 10 + 85 * r * d * d
+            + 7 * r * (r + 1) * g * (d + 1) * (r * d + 1) // 10)
+           * (3200 + (g + spread + d) * bits) // 3200 * len(weights))
+    count, k = 1, min(d, r - 1)
+    for i in range(1, k + 1):
+        if count * per > limit:
+            break
+        count = count * (d + r - 1 - k + i) // i
+    return count * per
+
+
 class WeightIndependenceReport(Record):
     __slots__ = ("passed", "volumes")
 

@@ -439,6 +439,21 @@ def test_acyclic_jobs_within_the_budget_are_accepted():
         assert time.perf_counter() - started < 2.0
 
 
+def test_rank_one_jobs_at_deg_e_zero_are_accepted():
+    """At deg E = 0 every power of deg E past the zeroth vanishes, so the
+    rank-1 sum is cheap: abelian-volume at (g, d) = (10, 2000) and (40, 2000)
+    and the curve case at g = 40, N = 2000 each run in under half a second on
+    a 2 vCPU box; only parsing is timed here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curve = curve_acyclic_data(40, 1, 2000, 0)
+    abelian = [{"command": "abelian-volume", "g": g, "l": [2000], "d": 2000} for g in (10, 40)]
+    for doc in (*abelian, acyclic_doc(curve)):
+        started = time.perf_counter()
+        assert parse_jobspec(doc).command == doc["command"]
+        assert time.perf_counter() - started < 2.0
+
+
 # every command that evaluates its volume, under each t mode
 EVALUATED = [
     {"command": "quot-volume", "g": 1, "r": 2, "l": [0, 1], "d": 2},

@@ -105,6 +105,14 @@ assert "quotvol.exterior" in sys.modules
 assert "quotvol.closed" not in sys.modules, "closed loaded by an acyclic job"
 """
 
+# a job that names weights runs the localization engine alone
+WEIGHTED_JOB = """
+import sys
+from quotvol import cli
+assert cli.main(["quot-volume", "--format", "plain"]) == 0
+assert "quotvol.closed" not in sys.modules, "closed loaded by a weighted quot-volume"
+"""
+
 
 # Every command's job leaves the series oracle unloaded, and only the acyclic
 # job (run last) loads the exterior algebra; the names the tracer patches on
@@ -156,6 +164,13 @@ def test_acyclic_job_loads_exterior_on_demand():
     code, out, err = run_python("-c", ACYCLIC_JOB, stdin=json.dumps(ACYCLIC))
     assert code == 0, err
     assert out.startswith("volume = 𝔱\n"), out
+
+
+def test_weighted_quot_volume_leaves_closed_unloaded():
+    doc = {"g": 1, "r": 2, "l": [0, 1], "d": 2, "weights": [["1/2", 3]]}
+    code, out, err = run_python("-c", WEIGHTED_JOB, stdin=json.dumps(doc))
+    assert code == 0, err
+    assert out.startswith("volume = "), out
 
 
 def test_no_cli_job_loads_the_series_oracle():
