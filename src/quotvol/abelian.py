@@ -22,6 +22,7 @@ unnormalized value is only reachable through rational stand-ins for pi (see
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -71,23 +72,28 @@ def poincare_number(g: int, a: int, b: int) -> Fraction:
 def _shifted_sum(x: Fraction | int, n: int, c: Sequence[Fraction | int]) -> TPoly:
     """sum_{k <= n} c[k] (x + ttilde)^(n-k) / (n-k)!, one ttilde^m coefficient
     at a time by the binomial theorem: sum_k c[k] x^(n-k-m) / (m! (n-k-m)!)."""
-    a = [Fraction(x) ** j / math.factorial(j) for j in range(n + 1)]  # x^j / j!
-    return TPoly(sum(ck * a[n - m - k] for k, ck in enumerate(c[:n - m + 1])) / math.factorial(m)
+    fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))  # j!
+    a = [Fraction(x) ** j / fact[j] for j in range(n + 1)]  # x^j / j!
+    return TPoly(sum(ck * a[n - m - k] for k, ck in enumerate(c[:n - m + 1])) / fact[m]
                  for m in range(n + 1))
 
 
 def _shifted_sum_work(x: Fraction | int, n: int, terms: int, c_bits: int, limit: int) -> int:
-    """Microseconds of ``_shifted_sum(x, n, c)``, c of ``terms`` entries of at most ``c_bits``
-    bits, n clamped at ``limit``, fitted on a 2 vCPU box: n w^1.5 for the factorials and
-    the m! divisions (w the words of n!); for each of the ``sums`` terms read, a pass over
-    c_k and, when x != 0, a reduction of c_k, x^n and factorials k apart against n!."""
+    """Microseconds of ``_shifted_sum(x, n, c)`` and of printing it, c of ``terms`` entries
+    of at most ``c_bits`` bits, n clamped at ``limit``, fitted on a 2 vCPU box: n w^1.5 for
+    the m! divisions (w the words of n!), n w if x = 0 leaves them one c_k each; for each
+    of the ``sums`` terms read, a pass over c_k and, when x != 0, a reduction of c_k, x^n
+    and factorials k apart against n!.  Printing s bits takes about s^2/400000 microseconds,
+    and the m-th of the ``shown`` nonzero coefficients has about c_bits + lg n! + lg x^(n-m)."""
     x, n = Fraction(x), min(n, limit)
     t, lg = min(terms, n + 1), n.bit_length()
     sums, words = t * (2 * n + 3 - t) // 2, n * lg // 64 + 1
     xbits = n * (x.numerator.bit_length() + x.denominator.bit_length() - 2)  # of x^n
     per = 4 + c_bits // 6400 + (5 + n * lg * (2 * t * lg + xbits + c_bits // 2) // 800000
                                 if x else 0)
-    return n * (words * math.isqrt(words) // 25 + 11) + sums * per
+    shown, low = n + 1 if x else t, c_bits + n * lg
+    work = n * ((words * math.isqrt(words) // 25 if x else words // 50) + 11) + sums * per
+    return work + shown * (3 * low * low + 3 * low * xbits + xbits * xbits) // 1200000
 
 
 def symmetric_power_volume(p: CurveQuotProblem) -> TPoly:

@@ -293,11 +293,10 @@ def parse_jobspec(doc: dict) -> JobSpec:
     if command == "acyclic-volume":
         from .exterior import _parse_acyclic, _partition_work  # loaded by acyclic jobs alone
         problem = _parse_acyclic(doc, ints["n_dim"], ints["q"])
-        work = _partition_work(problem, WORK_LIMIT)
+        work, c_bits = _partition_work(problem, WORK_LIMIT)
         _within_budget(work, "q")
-        # then the rank-1 sum to N = rank + q - 1 (the pairings set it), c as at genus q
-        work += _shifted_sum_work(problem.deg_E, problem.dimension, problem.q + 1,
-                                  problem.q, WORK_LIMIT)
+        # then the rank-1 sum to N = rank + q - 1 (the pairings set it)
+        work += _shifted_sum_work(problem.deg_E, problem.dimension, problem.q + 1, c_bits, WORK_LIMIT)
         _within_budget(work, "pairings")
     elif command == "abelian-volume":
         # a degree list has one entry per summand: one on a curve, else r

@@ -17,8 +17,10 @@ even keys commute, so ``exp(omega)`` on a key K is a signed sum over the
 partitions of K into keys, which ``_partition_sums`` expands along the lowest
 index of K (the first-row Pfaffian expansion, blocks of any even size).  With
 ``f_i`` scaled by ``D^i`` to integers, a key of degree 2j holds D^j times the
-true entry, so ``top_exp_poly`` reads ``D^q c(t)``, t packed in by Kronecker
-substitution (``sum_k c_k 2^(wk)``, w from a product over the indices).
+true entry.  One packing step, ``_packed``, puts t in by Kronecker substitution
+(``sum_k c_k 2^(wk)``, w from a product over the indices): ``top_exp_poly``
+reads ``D^q c(t)`` from its output, and the work budget ``_partition_work``
+prices that same input and bounds the bits of the c_k by w.
 
 The acyclic pipeline lives here too, so that only acyclic jobs compile it:
 the pairing data ``AcyclicData`` (and ``curve_acyclic_data``, its curve
@@ -112,24 +114,26 @@ def _partition_sums(omega: Mapping[int, int], targets: Iterable[int]) -> dict[in
     return memo
 
 
-def _partition_work(data: AcyclicData, limit: int) -> int:
-    """Microseconds of ``_partition_sums`` at the full key for ``data``, counted
-    until past ``limit``: at most U subset tests of 0.4 microseconds each, fitted
-    on a 2 vCPU box.  The keys are those of theta and of every kappa form; a state
-    K with ``min K = m`` tests the ``owned_m`` keys of lowest index m.  Every index
-    below m left K in at most m - 1 blocks, each taking at most D - 1 more indices
-    (D the largest key size), all among the ``a_m`` indices above m that keys of
-    lowest index below m hold.  So U = sum_m owned_m sum_(x <= min((m-1)(D-1),
-    a_m)) C(a_m, x)."""
-    n = 2 * data.q
-    keys = {1 << i + 1 | 1 << j + 1 for i in range(n) for j in range(i + 1, n) if data.h[i][j]}
-    keys.update(m for form in data.kappa_forms.values() for m in form.ints)
+def _partition_work(data: AcyclicData, limit: int) -> tuple[int, int]:
+    """``(work, bits)``: microseconds of ``_partition_sums`` at the full key on the
+    ``omega`` that ``acyclic_volume`` packs for ``data``, counted until past ``limit``,
+    and w + q bits(den), over the bits of every c_k since |den^q c_k| < 2^(w-1).  A
+    state K with ``min K = m`` tests the ``owned_m`` keys of lowest index m.  Every
+    index below m left K in at most m - 1 blocks, each taking at most D - 1 more
+    indices (D the largest key size), all among the ``a_m`` indices above m that keys
+    of lowest index below m hold: at most U = sum_m owned_m sum_(x <= min((m-1)(D-1),
+    a_m)) C(a_m, x) tests.  Each multiplies an entry of W words by one of (q + 1) W at
+    most: (q + 1) W min(W, 32) / 1600 microseconds (Karatsuba, past 32 words, skips a
+    packed entry's zeros), or 0.3 while that is less, fitted on a 2 vCPU box."""
+    omega, w, den = _packed(theta_form(data.q, data.h), _char_pieces(ch_of_V(data), 1))
+    words, bits = w // 64 + 1, w + data.q * den.bit_length()
+    per_test = max(3, (data.q + 1) * words * min(words, 32) // 160)  # in tenths of a microsecond
     owned: dict[int, list[int]] = {}  # lowest bit -> [key count, union of the keys]
-    for b in keys:
+    for b in omega:
         entry = owned.setdefault(b & -b, [0, 0])
         entry[0] += 1
         entry[1] |= b
-    size = max(map(int.bit_count, keys), default=0)
+    size = max(map(int.bit_count, omega), default=0)
     tests, below = 0, 0  # below: the union of the keys of lowest index below m
     for low in sorted(owned):
         count, union = owned[low]
@@ -137,11 +141,11 @@ def _partition_work(data: AcyclicData, limit: int) -> int:
         binomial = 1
         for x in range(min((m - 1) * (size - 1), a) + 1):
             tests += count * binomial
-            if tests * 4 > 10 * limit:
-                return tests * 4 // 10
+            if tests * per_test > 10 * limit:
+                return tests * per_test // 10, bits
             binomial = binomial * (a - x) // (x + 1)
         below |= union
-    return tests * 4 // 10
+    return tests * per_test // 10, bits
 
 
 class AltForm:
@@ -283,14 +287,10 @@ def evaluate_top(a: AltForm):
     return Fraction(a.ints.get((1 << (2 * a.q + 1)) - 2, 0), a.den)
 
 
-def top_exp_poly(theta: AltForm, pieces: Sequence[AltForm]) -> list[Fraction]:
-    """Coefficients ``c_0, ..., c_q`` of the top evaluation of
-    ``exp(t theta + f_1 + f_2 + ...)`` as a polynomial in t, where ``theta``
-    has degree 2 and ``f_i = pieces[i-1]`` has degree 2i.
-
-    With D clearing all denominators, ``_partition_sums`` at the full key on
-    ``omega = G + sum_(i >= 2) D^i f_i``, ``G = D (f_1 + t theta)`` packed at
-    ``t = X = 2^w``, is ``D^q c(X)``: its balanced base-X digits are the ``D^q c_k``.
+def _packed(theta: AltForm, pieces: Sequence[AltForm]) -> tuple[dict[int, int], int, int]:
+    """``(omega, w, D)`` for ``top_exp_poly(theta, pieces)``: D clears all
+    denominators and ``omega = G + sum_(i >= 2) D^i f_i``, ``G = D (f_1 + t theta)``
+    packed at ``t = X = 2^w``, is the input of its partition sums.
 
     Slot width.  Let ``|p|`` be the sum of the absolute coefficients of an
     integer polynomial, so ``|p p'| <= |p| |p'|``.  In a partition each index
@@ -316,7 +316,17 @@ def top_exp_poly(theta: AltForm, pieces: Sequence[AltForm]) -> list[Fraction]:
         above |= m & (m - 1)
     w = math.prod(owner.get(1 << i, 0) + (above >> i & 1) for i in range(1, n + 1)).bit_length() + 1
     omega.update((m, f1.get(m, 0) + (th.get(m, 0) << w)) for m in pairs)
-    full = (1 << (n + 1)) - 2
+    return omega, w, den
+
+
+def top_exp_poly(theta: AltForm, pieces: Sequence[AltForm]) -> list[Fraction]:
+    """Coefficients ``c_0, ..., c_q`` of the top evaluation of
+    ``exp(t theta + f_1 + f_2 + ...)`` as a polynomial in t, where ``theta``
+    has degree 2 and ``f_i = pieces[i-1]`` has degree 2i.  ``_partition_sums`` at
+    the full key on the ``omega`` of ``_packed`` is ``D^q c(X)``: its balanced
+    base-X digits are the ``D^q c_k``."""
+    omega, w, den = _packed(theta, pieces)
+    q, full = theta.q, (1 << (2 * theta.q + 1)) - 2
     packed = _partition_sums(omega, [full])[full]
     coeffs, half = [], 1 << (w - 1)
     for _ in range(q + 1):

@@ -466,3 +466,26 @@ def test_dense_q6_volume_pinned():
         "5557025851/147456", "-415509289/73728", "15132081/20480", "-8216977/92160",
         "1573483/322560",
     ))))
+
+
+def theta_only_data(q, scale):
+    """Rank 3 on a curve and no kappa form: theta dense, entry ((j - i) mod 5 + 1)
+    scale above the diagonal."""
+    h = [[((j - i) % 5 + 1) * scale if i < j else -((i - j) % 5 + 1) * scale if i > j else 0
+          for j in range(2 * q)] for i in range(2 * q)]
+    return AcyclicData(n=1, q=q, deg_E=0, pairings=(3, 0), h=h, kappa_forms={(1, 0): AltForm(q)})
+
+
+def test_partition_work_bounds_the_bits_of_every_c():
+    """The bound the work budget passes to the rank-1 estimate holds for every c_k
+    that ``top_exp_poly`` yields: theta alone with small and 101-digit entries,
+    dense data with halves in kappa, and curves."""
+    from quotvol.exterior import _char_pieces, _partition_work, top_exp_poly
+
+    cases = [theta_only_data(q, 10 ** k) for q in range(1, 9) for k in (0, 100)]
+    cases += [dense_acyclic_data(random.Random(q), q, n_dim) for q in (2, 4, 6) for n_dim in (1, 2)]
+    cases += [curve_data(g, r0, 40, 1) for g in (1, 3, 8) for r0 in (1, 3)]
+    for data in cases:
+        _, bits = _partition_work(data, 10 ** 7)
+        c = top_exp_poly(theta_form(data.q, data.h), _char_pieces(ch_of_V(data), 1))
+        assert max(x.numerator.bit_length() + x.denominator.bit_length() for x in c) <= bits

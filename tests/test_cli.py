@@ -313,10 +313,11 @@ def test_negative_sweep_genus_is_an_input_error():
     assert "input error at 'g_values[0]'" in err
 
 
-def dense_theta_doc(q):
-    """An acyclic job whose theta is dense, entry (j - i) mod 5 + 1 above the
-    diagonal, with no other form: its partition sums grow about 3x per step in q."""
-    h = [[(j - i) % 5 + 1 if i < j else -((i - j) % 5 + 1) if i > j else 0
+def dense_theta_doc(q, scale=1):
+    """An acyclic job whose theta is dense, entry ((j - i) mod 5 + 1) scale above
+    the diagonal, with no other form: its partition sums grow about 3x per step
+    in q, and with the bits of the scale."""
+    h = [[((j - i) % 5 + 1) * scale if i < j else -((i - j) % 5 + 1) * scale if i > j else 0
           for j in range(2 * q)] for i in range(2 * q)]
     return {"command": "acyclic-volume", "n_dim": 1, "q": q, "deg_E": 0, "pairings": [3, 0],
             "h": h, "kappa": [{"i": 1, "s": 0, "terms": []}]}
@@ -337,7 +338,9 @@ def acyclic_doc(data):
 # (at r for the localization engine, which verify runs; at q for the partition
 # sums of an acyclic job, at pairings for its rank-1 sum to N = rank + q - 1),
 # or at the point the volume is evaluated at when that evaluation tips the job
-# over.  The q = 16 job ran over a minute on a 2 vCPU box before its budget.
+# over.  The q = 16 job ran over a minute on a 2 vCPU box before its budget,
+# the q = 12 job with 101-digit entries about 20 s, and the abelian job at
+# g = 10^300 about 17 s, 14 s of it printing its 301 coefficients.
 BIG = "9" * 4000
 RUNAWAY_JOBS = [
     ({"command": "abelian-volume", "g": 1, "l": [2], "d": 200000}, "d"),
@@ -350,11 +353,14 @@ RUNAWAY_JOBS = [
     ({"command": "grothendieck-degree", "g": 2, "r": 2, "l": [0, 1], "d": 200, "n": int(BIG)},
      "n"),
 ]
-# kept apart and listed last below, because parameter ids count positions
-ACYCLIC_RUNAWAY_JOBS = [
+# added after the list above: kept apart and listed last below, because
+# parameter ids count positions
+LATER_RUNAWAY_JOBS = [
     (dense_theta_doc(16), "q"),
     ({"command": "acyclic-volume", "n_dim": 1, "q": 0, "deg_E": "7/3", "pairings": [10 ** 6, 0],
       "h": []}, "pairings"),
+    (dense_theta_doc(12, 10 ** 100), "q"),
+    ({"command": "abelian-volume", "g": 10 ** 300, "l": [300], "d": 300}, "d"),
 ]
 
 
@@ -393,7 +399,7 @@ ACYCLIC_RUNAWAY_JOBS = [
           "t": {"mode": "ttilde-value", "value": True}}, "t.value"),
         ([1], "$"),
         ({"command": "nope"}, "command"),
-        *ACYCLIC_RUNAWAY_JOBS,
+        *LATER_RUNAWAY_JOBS,
     ],
 )
 def test_domain_bounds_name_the_field(doc, field_name):
@@ -406,7 +412,7 @@ def test_domain_bounds_name_the_field(doc, field_name):
     assert info.value.field_name == field_name
 
 
-@pytest.mark.parametrize("doc, field_name", RUNAWAY_JOBS + ACYCLIC_RUNAWAY_JOBS)
+@pytest.mark.parametrize("doc, field_name", RUNAWAY_JOBS + LATER_RUNAWAY_JOBS)
 def test_runaway_job_exits_2_before_it_starts(doc, field_name):
     """The work budget refuses each job from its sizes, before any of it runs."""
     started = time.perf_counter()
@@ -425,15 +431,17 @@ def test_evaluation_within_the_budget_is_accepted():
 
 
 def test_acyclic_jobs_within_the_budget_are_accepted():
-    """Dense theta at q = 14 (about 7 s), dense n_dim = 2 data at q = 9 (about
-    1.5 s) and the curve case at g = 40 run; only parsing is timed here."""
+    """Dense theta at q = 14 (about 7 s), at q = 10 with 31-digit entries (about
+    1.8 s) and at q = 6 with 1001-digit entries (about 0.2 s), dense n_dim = 2
+    data at q = 9 (about 1.5 s) and the curve case at g = 40 run; only parsing
+    is timed here."""
     from test_abelian import dense_acyclic_data
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         curve = curve_acyclic_data(40, 1, 200, 0)
-    for doc in (dense_theta_doc(14), acyclic_doc(dense_acyclic_data(random.Random(0), 9, 2)),
-                acyclic_doc(curve)):
+    for doc in (dense_theta_doc(14), dense_theta_doc(10, 10 ** 30), dense_theta_doc(6, 10 ** 1000),
+                acyclic_doc(dense_acyclic_data(random.Random(0), 9, 2)), acyclic_doc(curve)):
         started = time.perf_counter()
         assert parse_jobspec(doc).problem.q == doc["q"]
         assert time.perf_counter() - started < 2.0
