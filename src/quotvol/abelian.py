@@ -28,7 +28,8 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .scalars import Record, TPoly, _as_fraction, falling_factorial
+from .scalars import (Record, TPoly, _as_fraction, _bits, _fraction_price, _print_price,
+                      _product_price, falling_factorial)
 
 if TYPE_CHECKING:  # imported where used: only acyclic volumes load the exterior algebra
     from .exterior import AcyclicData
@@ -78,22 +79,17 @@ def _shifted_sum(x: Fraction | int, n: int, c: Sequence[Fraction | int]) -> TPol
                  for m in range(n + 1))
 
 
-def _shifted_sum_work(x: Fraction | int, n: int, terms: int, c_bits: int, limit: int) -> int:
-    """Microseconds of ``_shifted_sum(x, n, c)`` and of printing it, c of ``terms`` entries
-    of at most ``c_bits`` bits, n clamped at ``limit``, fitted on a 2 vCPU box: n w^1.5 for
-    the m! divisions (w the words of n!), n w if x = 0 leaves them one c_k each; for each
-    of the ``sums`` terms read, a pass over c_k and, when x != 0, a reduction of c_k, x^n
-    and factorials k apart against n!.  Printing s bits takes about s^2/400000 microseconds,
-    and the m-th of the ``shown`` nonzero coefficients has about c_bits + lg n! + lg x^(n-m)."""
+def _shifted_sum_work(x: Fraction | int, n: int, terms: int, c_bits: int, limit: int) -> float:
+    """``_shifted_sum`` and its printing: per term read a Fraction product and sum, and for
+    x != 0 a product of b = n lg n bits of factorials; n + 1 divisions by m! (reducing b bits
+    if x != 0); coefficients of c_bits + b + (n - m) bits(x) bits.  n clamped at ``limit``."""
     x, n = Fraction(x), min(n, limit)
     t, lg = min(terms, n + 1), n.bit_length()
-    sums, words = t * (2 * n + 3 - t) // 2, n * lg // 64 + 1
-    xbits = n * (x.numerator.bit_length() + x.denominator.bit_length() - 2)  # of x^n
-    per = 4 + c_bits // 6400 + (5 + n * lg * (2 * t * lg + xbits + c_bits // 2) // 800000
-                                if x else 0)
-    shown, low = n + 1 if x else t, c_bits + n * lg
-    work = n * ((words * math.isqrt(words) // 25 if x else words // 50) + 11) + sums * per
-    return work + shown * (3 * low * low + 3 * low * xbits + xbits * xbits) // 1200000
+    sums, b, xbits = t * (2 * n + 3 - t) // 2, n * lg, n * (_bits(x) - 2) if x else 0
+    term = _product_price(b, 2 * t * lg + xbits + c_bits) if x else 0
+    divide = _fraction_price(b) if x else _product_price(b, c_bits)
+    return ((n + 1) * divide + sums * (2 * _fraction_price(1) + term)
+            + (n + 1 if x else t) * _print_price(c_bits + b + xbits // 2))
 
 
 def symmetric_power_volume(p: CurveQuotProblem) -> TPoly:
@@ -150,10 +146,8 @@ def acyclic_volume(data: AcyclicData) -> TPoly:
     exp(t theta) ^ s = exp(t theta + f_1 + f_2 + ...) with
     f_i = (-1)^i ch_i / i, which ``top_exp_poly`` returns as the list of c_k.
     """
-    from .exterior import _char_pieces, ch_of_V, theta_form, top_exp_poly
-    pieces = _char_pieces(ch_of_V(data), 1)
-    theta = theta_form(data.q, data.h)
-    return _shifted_sum(data.deg_E, data.dimension, top_exp_poly(theta, pieces))
+    from .exterior import _kernel_input, top_exp_poly
+    return _shifted_sum(data.deg_E, data.dimension, top_exp_poly(*_kernel_input(data)))
 
 
 def __getattr__(name: str):  # perfbench/jobs.py and tracer.py read these names here

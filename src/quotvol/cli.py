@@ -36,6 +36,9 @@ from .scalars import (
     Record,
     TPoly,
     _ascii_int,
+    _bits,
+    _print_price,
+    _product_price,
     _require_int,
     _require_int_list,
     parse_fraction,
@@ -201,14 +204,9 @@ def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
 # work budget
 
 # A job whose estimated running time passes WORK_LIMIT microseconds is refused
-# before it starts.  Each engine module prices its own work from the job's sizes
-# (the ``_*_work`` functions of closed, localization, abelian and exterior), each
-# size clamped at the limit, so a huge input costs no more to price than a small one.
+# before it starts.  Each engine's ``_*_work`` counts its operations from the job's
+# sizes, each clamped at the limit, and prices them with the price list of ``scalars``.
 WORK_LIMIT = 10 ** 7  # ten seconds
-
-
-def _bits(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 def _report_plan(spec: JobSpec) -> tuple | None:
@@ -234,25 +232,23 @@ def _report_plan(spec: JobSpec) -> tuple | None:
     return degree, dim, fact, point, field_name, command == "abelian-volume"
 
 
-def _evaluation_work(spec: JobSpec) -> tuple[int, str]:
-    """The plan's evaluations, and the field that sets the point: Horner's
-    products at a point of b bits reach about degree x b bits, a probe of pi
-    multiplies by (4 pi^2)^dim, and computing and printing a number of s bits
-    takes about s^2/400000 microseconds."""
+def _evaluation_work(spec: JobSpec) -> tuple[float, str]:
+    """The plan's evaluation, and the field that sets the point: Horner's rule makes
+    ``degree`` products by the point, and each number is printed."""
     plan, pi = _report_plan(spec), spec.pi_probe
     if plan is None:  # sweep and verify evaluate nothing
         return 0, ""
     degree, dim, _, point, field_name, factor_line = plan
     power = 0 if pi is None else 2 * min(dim, WORK_LIMIT) * _bits(pi)  # the bits of (4 pi^2)^dim
-    sizes = [power if factor_line else 0]
+    work = _print_price(power) if factor_line else 0
     if point is not None:
-        at = min(degree, WORK_LIMIT) * _bits(point)
-        # at the probe, the value and the value times (4 pi^2)^dim
-        sizes += [at, at + power] if field_name == "t.pi_probe" else [at]
-    return sum(s * s for s in sizes) // 400000, field_name
+        degree, bits = min(degree, WORK_LIMIT), _bits(point)
+        work += degree * _product_price(degree * bits // 2, bits) + _print_price(degree * bits)
+        work += _print_price(degree * bits + power) if field_name == "t.pi_probe" else 0
+    return work, field_name
 
 
-def _within_budget(work: int, field_name: str) -> None:
+def _within_budget(work: float, field_name: str) -> None:
     if work > WORK_LIMIT:
         raise InputError(field_name, f"estimated {work:.1e} microseconds of work, over the "
                          f"limit of {WORK_LIMIT:.0e}; the job is refused before it starts")

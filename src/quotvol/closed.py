@@ -47,7 +47,7 @@ and the volume ``rho_d / (d! (rd)! r^(rd))``.
 import math
 from fractions import Fraction
 
-from .scalars import QuotProblem, TPoly
+from .scalars import QuotProblem, TPoly, _product_price
 
 __all__ = ["closed_volume"]
 
@@ -71,16 +71,14 @@ def _log_a(r: int, d: int) -> list[int]:
     return [(r * n) ** (r * n - 1) - logs[r * n][0] for n in range(1, d + 1)]
 
 
-def _closed_form_work(r: int, d: int, bits: int, limit: int) -> int:
-    """``closed_volume`` at rank r and colength d, when g and |l| take ``bits`` bits:
-    the (rd)^2/2 steps of ``_log_a`` and their cyclic products on integers of
-    about rd lg(rd) bits, then d^3/3 products of rho on integers of d (r lg(rd) + bits)."""
+def _closed_form_work(r: int, d: int, bits: int, limit: int) -> float:
+    """r^2 (rd)^2/2 products ell_k c_(n-k) of k and n - k times lg(rd) bits, d^3/3 in rho of
+    (n - k) s and k s bits, s = r lg(rd) + ``bits`` (g, |l|), at means over k < n."""
     r, d = min(r, limit), min(d, limit)
-    n, m = r * d, min(r, r * d)
-    lg = n.bit_length()
-    cyclic = r * (3 * n * m * m - 2 * m ** 3 + 3 * r * (n - m) ** 2) // 6
-    return (2 * n * n + cyclic * (770 + n * lg) // 7700
-            + d ** 3 * (417 + d * (r * lg + bits)) // 6250 + 20)
+    n, lg = r * d, (r * d).bit_length()
+    s = r * lg + bits
+    return (r * r * n * n // 2 * _product_price(n * lg // 2, n * lg // 6)
+            + d ** 3 // 3 * _product_price(d * s // 2, d * s // 5))
 
 
 def closed_volume(p: QuotProblem) -> TPoly:

@@ -19,8 +19,10 @@ index of K (the first-row Pfaffian expansion, blocks of any even size).  With
 ``f_i`` scaled by ``D^i`` to integers, a key of degree 2j holds D^j times the
 true entry.  One packing step, ``_packed``, puts t in by Kronecker substitution
 (``sum_k c_k 2^(wk)``, w from a product over the indices): ``top_exp_poly``
-reads ``D^q c(t)`` from its output, and the work budget ``_partition_work``
-prices that same input and bounds the bits of the c_k by w.
+reads ``D^q c(t)`` from its output.  The work budget ``_partition_work`` packs
+the same input (``_kernel_input`` derives it for both), counts the tests and
+products of ``_partition_sums`` (``_subset_tests``), and prices them with
+``scalars``' price list; it bounds the bits of the c_k by w.
 
 The acyclic pipeline lives here too, so that only acyclic jobs compile it:
 the pairing data ``AcyclicData`` (and ``curve_acyclic_data``, its curve
@@ -31,6 +33,7 @@ case), the characteristic classes ``ch_of_V``, ``segre_from_ch`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -41,6 +44,8 @@ from .scalars import (
     InputError,
     Record,
     _as_fraction,
+    _bits,
+    _product_price,
     _require_int,
     _require_int_list,
     parse_fraction,
@@ -114,38 +119,35 @@ def _partition_sums(omega: Mapping[int, int], targets: Iterable[int]) -> dict[in
     return memo
 
 
-def _partition_work(data: AcyclicData, limit: int) -> tuple[int, int]:
-    """``(work, bits)``: microseconds of ``_partition_sums`` at the full key on the
-    ``omega`` that ``acyclic_volume`` packs for ``data``, counted until past ``limit``,
-    and w + q bits(den), over the bits of every c_k since |den^q c_k| < 2^(w-1).  A
-    state K with ``min K = m`` tests the ``owned_m`` keys of lowest index m.  Every
-    index below m left K in at most m - 1 blocks, each taking at most D - 1 more
-    indices (D the largest key size), all among the ``a_m`` indices above m that keys
-    of lowest index below m hold: at most U = sum_m owned_m sum_(x <= min((m-1)(D-1),
-    a_m)) C(a_m, x) tests.  Each multiplies an entry of W words by one of (q + 1) W at
-    most: (q + 1) W min(W, 32) / 1600 microseconds (Karatsuba, past 32 words, skips a
-    packed entry's zeros), or 0.3 while that is less, fitted on a 2 vCPU box."""
-    omega, w, den = _packed(theta_form(data.q, data.h), _char_pieces(ch_of_V(data), 1))
-    words, bits = w // 64 + 1, w + data.q * den.bit_length()
-    per_test = max(3, (data.q + 1) * words * min(words, 32) // 160)  # in tenths of a microsecond
-    owned: dict[int, list[int]] = {}  # lowest bit -> [key count, union of the keys]
+def _subset_tests(omega: Mapping[int, int], stop: float) -> tuple[int, int]:
+    """Bounds on the keys ``_partition_sums`` tests and takes, until past ``stop``: a state
+    of least index m lost x of the a indices above m held by keys of lower least index, in
+    even blocks of D or fewer: x <= (m - 1)(D - 1), x + m odd; C(a - b, x) hold b of them."""
+    owned: dict[int, list[int]] = {}
     for b in omega:
-        entry = owned.setdefault(b & -b, [0, 0])
-        entry[0] += 1
-        entry[1] |= b
-    size = max(map(int.bit_count, omega), default=0)
-    tests, below = 0, 0  # below: the union of the keys of lowest index below m
+        owned.setdefault(b & -b, []).append(b)
+    size, tests, taken, below = max(map(int.bit_count, omega), default=0), 0, 0, 0
     for low in sorted(owned):
-        count, union = owned[low]
-        m, a = low.bit_length() - 1, (below & -2 * low).bit_count()
-        binomial = 1
-        for x in range(min((m - 1) * (size - 1), a) + 1):
-            tests += count * binomial
-            if tests * per_test > 10 * limit:
-                return tests * per_test // 10, bits
-            binomial = binomial * (a - x) // (x + 1)
-        below |= union
-    return tests * per_test // 10, bits
+        m, held = low.bit_length() - 1, below & -2 * low
+        a, inside = held.bit_count(), [(b & held).bit_count() for b in owned[low]]
+        states = {b: sum(math.comb(a - b, x) for x in range((m - 1) % 2, min(
+            (m - 1) * (size - 1), a - b) + 1, 2)) for b in {0, *inside}}
+        tests, taken = tests + len(inside) * states[0], taken + sum(map(states.get, inside))
+        if tests > stop:
+            break
+        below |= functools.reduce(operator.or_, owned[low])
+    return tests, taken
+
+
+def _partition_work(data: AcyclicData, limit: int) -> tuple[float, int]:
+    """``(work, w + q bits(D))``, the second over every c_k's bits: a test is a step, a taken
+    one four more and an entry times a memo entry of (q + 1)/2 slots of w bits on average
+    (high for theta alone, whose mostly-zero entries CPython's Karatsuba partly skips)."""
+    omega, w, den = _packed(*_kernel_input(data))
+    tests, taken = _subset_tests(omega, limit / (step := _product_price(1, 1)))
+    entry = max(map(int.bit_length, omega.values()), default=0)
+    work = (tests + 4 * taken) * step + taken * _product_price(entry, (data.q + 1) * w // 2)
+    return work, w + data.q * den.bit_length()
 
 
 class AltForm:
@@ -457,8 +459,7 @@ class AcyclicData(Record):
         rank = self.rank
         if rank.denominator != 1 or rank < 1:
             # spelled out only when short: a long one could pass the integer-text limit
-            got = rank if rank.numerator.bit_length() + rank.denominator.bit_length() < 1000 \
-                else "a rational of over 300 digits"
+            got = rank if _bits(rank) < 1000 else "a rational of over 300 digits"
             raise InputError("pairings",
                              f"rank sum(-1)^s P_s/s! must be a positive integer, got {got}")
         for (i, s), form in kappa_forms.items():
@@ -500,6 +501,12 @@ def ch_of_V(data: AcyclicData) -> list[AltForm]:
             ch_i = ch_i + form * Fraction((-1) ** (i + s), math.factorial(s))
         out.append(ch_i)
     return out
+
+
+def _kernel_input(data: AcyclicData) -> tuple[AltForm, list[AltForm]]:
+    """``(theta, pieces)``: the input of ``top_exp_poly`` for ``data``, its theta form
+    and the logarithm of its total Segre class."""
+    return theta_form(data.q, data.h), _char_pieces(ch_of_V(data), 1)
 
 
 def curve_acyclic_data(g: int, r0: int, deg_E0: int, m: int) -> AcyclicData:

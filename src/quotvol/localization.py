@@ -52,8 +52,8 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import (QuotProblem, Record, TPoly, ULaurent, WeightVector, default_weights,
-                      general_binomial)
+from .scalars import (QuotProblem, Record, TPoly, ULaurent, WeightVector, _bits,
+                      _fraction_price, _product_price, default_weights, general_binomial)
 
 __all__ = [
     "Composition",
@@ -219,20 +219,19 @@ def quot_volume(p: QuotProblem, w: WeightVector | None = None) -> TPoly:
     return total * Fraction(_sign(p), math.factorial(p.r * p.d))
 
 
-def _localization_work(p: QuotProblem, weights: Sequence[WeightVector], limit: int) -> int:
-    """``quot_volume`` once per weight vector: per composition, r^2 cross factors
-    on keys of r + 1 exponents, r d^2 series terms and g products per summand, on
-    rationals that grow with the exponents (g + spread of l + d) times the weights'
-    bits; times C(d + r - 1, r - 1), whose product stops once past ``limit``."""
+def _localization_work(p: QuotProblem, weights: Sequence[WeightVector], limit: int) -> float:
+    """Per weight vector and composition, e = d/r + 1: r(r - 1)(e^2/2 + 2e) factor keys,
+    each r + 1 steps and 3 Fraction ops; then pairs of keys, each 2(r + 1) steps and 2
+    Fraction ops: e^r (min(gr, d) + 1) series keys at most times an own factor and a TPoly
+    of d + 1 terms, 3r(r - 1)/2 factors of e^2, g e^3/2 per summand, Horner's (rd + d + 1)^2."""
     r, d, g = (min(x, limit) for x in (p.r, p.d, p.g))
-    spread = min(max(p.l) - min(p.l), limit)
-    bits = max(x.numerator.bit_length() + x.denominator.bit_length()
-               for w in weights for x in w.w)
-    per = ((50 * r * r + 3 * r ** 3 // 10 + 85 * r * d * d
-            + 7 * r * (r + 1) * g * (d + 1) * (r * d + 1) // 10)
-           * (3200 + (g + spread + d) * bits) // 3200 * len(weights))
-    count, k = 1, min(d, r - 1)
-    for i in range(1, k + 1):
+    s = (g + min(max(p.l) - min(p.l), limit) + d) * max(_bits(x) for w in weights for x in w.w)
+    e, k, count, step = d / r + 1, min(d, r - 1), 1, (r + 1) * _product_price(1, 1)
+    keys = math.exp(min(r * math.log(e), 60)) * (min(g * r, d) + 1)  # e^60 is past any limit
+    pairs = 2 * keys * (d + 1) + (r * d + d + 1) ** 2 + 3 * r * (r - 1) * e * e / 2 + g * r * e ** 3 / 2
+    per = (pairs * (2 * _fraction_price(s) + 2 * step)
+           + r * (r - 1) * (e * e / 2 + 2 * e) * (3 * _fraction_price(s) + step)) * len(weights)
+    for i in range(1, k + 1):  # C(d + r - 1, r - 1) compositions, until past the limit
         if count * per > limit:
             break
         count = count * (d + r - 1 - k + i) // i
@@ -256,7 +255,7 @@ def verify_weight_independence(p: QuotProblem, ws: Sequence[WeightVector]) -> We
     return WeightIndependenceReport(passed=passed, volumes=volumes)
 
 
-def __getattr__(name: str):  # perfbench/tracer.py patches these here; ROADMAP item 1 deletes it
+def __getattr__(name: str):  # perfbench/tracer.py patches these names; delete once it stops
     if name in ("integrand", "evaluate_composition", "series_pow_int", "series_exp"):
         from . import _oracle
         return getattr(_oracle, name)

@@ -16,8 +16,11 @@ instances may be shared freely across threads.
 ``Record`` is the base of the package's parameter records, ``QuotProblem``
 and ``WeightVector`` the records the engines share, and ``InputError`` the
 error raised when a value names a field; ``parse_fraction``, ``_require_int``
-and ``_require_int_list`` read JSON values and raise it.  They live here
-because every module imports this one.
+and ``_require_int_list`` read JSON values and raise it; ``_product_price``,
+``_fraction_price`` and ``_print_price`` price every engine's work count, in
+microseconds, each timed once in process on a 2 vCPU box (CPython 3.11, best
+of 7; the box's speed varies by about 1.8x).  They live here because every
+module imports this one.
 """
 
 from __future__ import annotations
@@ -198,6 +201,29 @@ def _require_int_list(value, field_name: str, minimum: int | None = None) -> tup
     )
 
 
+def _bits(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def _product_price(a: int, b: int) -> float:
+    """A product of a and b bits: 0.11 a step (of ``acc[j] += y * x``, 20-bit integers), and
+    0.0014 a product of 30-bit digits (timed at 600 to 2000 bits), schoolbook up to 70 digits,
+    past that in blocks of the smaller factor by Karatsuba, 3^k digit products per 2^k."""
+    small, big = sorted((a // 30 + 1, b // 30 + 1))
+    return 0.11 + 0.0014 * min(small, 70 * (small / 70) ** (math.log2(3) - 1)) * big
+
+
+def _fraction_price(s: int) -> float:
+    """A Fraction add or multiply at s bits: 2.0 at 8 bits, and the gcd 0.0002 s^1.5 (timed
+    at s = 3000 to 30000)."""
+    return 2.0 + 0.0002 * s * math.isqrt(s)
+
+
+def _print_price(s: int) -> float:
+    """``str()`` of an integer of s bits: s^2/600000 (timed at s = 10^4 to 10^5)."""
+    return s * s / 600000
+
+
 class TPoly:
     """Polynomial in the stability variable with Fraction coefficients.
 
@@ -353,7 +379,7 @@ class ULaurent(Record):
         return cls(exponent, coeff)
 
 
-def __getattr__(name: str):  # perfbench/tracer.py patches these here; ROADMAP item 1 deletes it
+def __getattr__(name: str):  # perfbench/tracer.py patches these names; delete once it stops
     if name in ("TruncSeries", "series_pow_int", "series_exp"):
         from . import _oracle
         return getattr(_oracle, name)

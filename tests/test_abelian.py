@@ -489,3 +489,23 @@ def test_partition_work_bounds_the_bits_of_every_c():
         _, bits = _partition_work(data, 10 ** 7)
         c = top_exp_poly(theta_form(data.q, data.h), _char_pieces(ch_of_V(data), 1))
         assert max(x.numerator.bit_length() + x.denominator.bit_length() for x in c) <= bits
+
+
+def test_subset_tests_bound_the_tests_of_the_partition_sums():
+    """The test count that the partition estimate prices is at least the number of
+    tests ``_partition_sums`` runs at the full key, one per key of omega whose lowest
+    bit is that of a memo key K != 0, and the count it prices as taken is at least
+    the number of those keys that lie inside K; nothing is timed."""
+    from quotvol.exterior import _kernel_input, _packed, _partition_sums, _subset_tests
+
+    cases = [theta_only_data(q, 10 ** k) for q in range(1, 9) for k in (0, 100)]
+    cases += [dense_acyclic_data(random.Random(q), q, n_dim) for q in (2, 4, 6) for n_dim in (1, 2)]
+    cases += [curve_data(g, r0, 40, 1) for g in (1, 3, 8) for r0 in (1, 3)]
+    for data in cases:
+        omega = _packed(*_kernel_input(data))[0]
+        full = (1 << (2 * data.q + 1)) - 2
+        tested = [(b, k) for k in _partition_sums(omega, [full]) if k for b in omega
+                  if b & -b == k & -k]
+        tests, taken = _subset_tests(omega, math.inf)
+        assert tests >= len(tested)
+        assert taken >= sum(1 for b, k in tested if not b & ~k)

@@ -361,6 +361,7 @@ LATER_RUNAWAY_JOBS = [
       "h": []}, "pairings"),
     (dense_theta_doc(12, 10 ** 100), "q"),
     ({"command": "abelian-volume", "g": 10 ** 300, "l": [300], "d": 300}, "d"),
+    ({"command": "verify", "g": 1, "r": 50, "l": [0] * 50, "d": 1}, "r"),
 ]
 
 
