@@ -47,3 +47,10 @@ def __getattr__(name: str):
     if name in _HOME:
         return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _script() -> None:
+    """The installed ``quotvol`` command: run ``quotvol.cli`` as ``__main__``, as
+    ``python -m quotvol.cli`` does, so only the job's engine is imported."""
+    import runpy
+    runpy.run_module("quotvol.cli", run_name="__main__", alter_sys=True)

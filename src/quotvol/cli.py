@@ -7,6 +7,10 @@ rationals rendered as ``num/den`` strings; ``--format plain`` and
 Timing goes to stderr so stdout stays byte-identical across runs.
 
 Exit codes: 0 success, 2 input error, 3 computation error.
+
+Run as ``__main__`` (``python -m quotvol.cli``, the ``quotvol`` script), it
+imports ``scalars`` and only the engine of the job's command; imported as a
+module, it also binds the volume function of every engine.
 """
 
 from __future__ import annotations
@@ -14,35 +18,19 @@ from __future__ import annotations
 import gc
 import json
 import math
-import random
 import sys
 import time
 from fractions import Fraction
 from typing import NoReturn, Sequence
 
-from .abelian import (CurveQuotProblem, _shifted_sum_work, acyclic_volume,
-                      symmetric_power_volume)
-from .grothendieck import grothendieck_degree
-from .localization import (
-    QuotProblem,
-    WeightVector,
-    _localization_work,
-    default_weights,
-    quot_volume,
-    verify_weight_independence,
-)
-from .scalars import (
-    InputError,
-    Record,
-    TPoly,
-    _ascii_int,
-    _bits,
-    _print_price,
-    _product_price,
-    _require_int,
-    _require_int_list,
-    parse_fraction,
-)
+from .scalars import (InputError, QuotProblem, Record, TPoly, WeightVector, _ascii_int, _bits,
+                      _print_price, _product_price, _require_int, _require_int_list,
+                      default_weights, parse_fraction)
+
+if __name__ != "__main__":  # perfbench/tracer.py patches these names; delete once it stops
+    from .abelian import acyclic_volume, symmetric_power_volume
+    from .grothendieck import grothendieck_degree
+    from .localization import quot_volume
 
 __all__ = ["JobSpec", "InputError", "parse_jobspec", "run_job", "main", "entry"]
 
@@ -176,6 +164,7 @@ def _parse_weights(doc: dict, command: str, r: int | None) -> tuple[WeightVector
 def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
     """Three deterministic candidates: 1..r, the first r primes, and a seeded
     pseudo-random distinct rational vector."""
+    import random  # only a verify job without weights draws
     # the seeded draw a/b, |a| <= 60, 1 <= b <= 12, has only 899 distinct values
     if r >= 900:
         raise InputError("weights", "r >= 900 needs explicit weights for verify")
@@ -286,6 +275,8 @@ def parse_jobspec(doc: dict) -> JobSpec:
             raise InputError("suite", f"unknown suite {json.dumps(doc['suite'], default=repr)}")
         weights = weights or _default_verify_weights(r)
 
+    if command in ("abelian-volume", "acyclic-volume"):
+        from .abelian import CurveQuotProblem, _shifted_sum_work
     if command == "acyclic-volume":
         from .exterior import _parse_acyclic, _partition_work  # loaded by acyclic jobs alone
         problem = _parse_acyclic(doc, ints["n_dim"], ints["q"])
@@ -318,6 +309,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
         gs, ds = ranges.get("g_values", (g,)), ranges.get("d_values", (d,))
         parts = partitions if partitions is not None else (l,)
         if weights:
+            from .localization import _localization_work
             work = _localization_work(QuotProblem(g=g, r=r, l=l, d=d), weights, WORK_LIMIT)
         else:
             from .closed import _closed_form_work
@@ -389,11 +381,15 @@ def run_job(spec: JobSpec) -> dict:
 
     Volumes come from the closed form, except where the job names torus
     weights (a weighted ``quot-volume``, ``verify``): those are inputs of the
-    localization engine, which then runs.  Only the jobs that read the closed
-    form import it, so a weighted, rank-1 or acyclic job never loads it."""
+    localization engine, which then runs.  Only the engine the job runs is
+    imported, so a process started as a script loads no other."""
     problem = spec.problem
     result = {"schema": SCHEMA_VERSION, "input": spec.echo}
-    if spec.command in ("sweep", "quot-volume", "grothendieck-degree") and not spec.weights:
+    if spec.weights:  # a weighted quot-volume, or verify
+        from .localization import quot_volume, verify_weight_independence
+    elif spec.command in ("abelian-volume", "acyclic-volume"):
+        from .abelian import acyclic_volume, symmetric_power_volume
+    else:
         from .closed import closed_volume
     if spec.command == "sweep":
         result["rows"] = [
@@ -411,6 +407,7 @@ def run_job(spec: JobSpec) -> dict:
         if unnormalized is not None:
             result["unnormalized"] = unnormalized
     elif spec.command == "grothendieck-degree":
+        from .grothendieck import grothendieck_degree
         volume = closed_volume(problem)
         _emit_volume(result, spec, volume, degree=grothendieck_degree(problem, spec.n, volume))
     else:  # verify

@@ -202,7 +202,7 @@ def test_exit_code_on_computation_error(monkeypatch):
     def failing(data):
         raise ArithmeticError("integrality violated")
 
-    monkeypatch.setattr(cli, "acyclic_volume", failing)
+    monkeypatch.setattr("quotvol.abelian.acyclic_volume", failing)
     doc = {"n_dim": 1, "q": 0, "deg_E": "0/1", "pairings": ["1/1", "0/1"], "h": []}
     code, _, err = run_main(["acyclic-volume"], json.dumps(doc))
     assert code == 3
@@ -725,6 +725,44 @@ def test_large_stdout_arrives_whole_through_a_pipe():
     # that skips the flush (os._exit) loses its last block
     code, out, err = run_python(*CLI, "acyclic-volume", stdin=doc)
     assert code == 0, err
+    assert out == want
+
+
+# A process started as a script compiles only ``scalars`` and the engine its
+# command runs (``quotvol.cli`` itself runs as ``__main__``).  The probe prints
+# the quotvol modules loaded at exit to stderr from an atexit handler; then it
+# runs the module as ``python -m quotvol.cli`` does, or the installed command.
+MODULES_PROBE = """
+import atexit, sys
+atexit.register(lambda: print("modules=" + " ".join(sorted(
+    name for name in sys.modules if name.split(".")[0] == "quotvol")), file=sys.stderr))
+"""
+AS_MAIN = 'import runpy; runpy.run_module("quotvol.cli", run_name="__main__", alter_sys=True)'
+INSTALLED = "import quotvol; quotvol._script()"
+
+
+@pytest.mark.parametrize("launch, argv, doc, engines", [
+    (AS_MAIN, ["quot-volume", *FLAGS], None, ["closed"]),
+    (INSTALLED, ["quot-volume", *FLAGS], None, ["closed"]),
+    (AS_MAIN, ["sweep"], {"r": 2, "g_values": [0, 2], "d_values": [1, 3], "l": [0, 1]},
+     ["closed"]),
+    (AS_MAIN, ["grothendieck-degree"], {"g": 0, "r": 2, "l": [0, 0], "d": 1, "n": 4},
+     ["closed", "grothendieck", "localization"]),
+    (AS_MAIN, ["quot-volume"], {"g": 1, "r": 2, "l": [0, 1], "d": 2, "weights": [["1/2", 3]]},
+     ["localization"]),
+    (AS_MAIN, ["verify"], {"g": 1, "r": 2, "l": [0, 1], "d": 1}, ["localization"]),
+    (AS_MAIN, ["abelian-volume"], {"g": 1, "l": [3], "d": 2}, ["abelian"]),
+    (AS_MAIN, ["acyclic-volume"], ACYCLIC, ["abelian", "exterior"]),
+], ids=["quot-volume", "installed", "sweep", "grothendieck-degree", "weighted", "verify",
+        "abelian-volume", "acyclic-volume"])
+def test_script_loads_only_its_engine(launch, argv, doc, engines):
+    stdin = "" if doc is None else json.dumps(doc)
+    want = run_main(argv, stdin)[1]
+    code, out, err = run_python("-c", MODULES_PROBE + launch, *argv, stdin=stdin)
+    assert code == 0, err
+    loaded = err.splitlines()[-1].removeprefix("modules=").split()
+    assert "quotvol._oracle" not in loaded
+    assert loaded == sorted(["quotvol", "quotvol.scalars", *(f"quotvol.{m}" for m in engines)])
     assert out == want
 
 

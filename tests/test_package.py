@@ -85,8 +85,9 @@ for name in quotvol.__all__:
 """
 
 # The quotvol modules a fresh interpreter holds after one statement: the root
-# loads each module on first use, and a CLI process loads the six it binds;
-# ``closed`` comes with the first curve job that reads the closed form.
+# loads each module on first use, and importing ``cli`` as a module loads the
+# six it binds (a process that runs it as a script loads only its command's
+# engine); ``closed`` comes with the first curve job that reads the closed form.
 LOADED = [
     ("import quotvol", ["quotvol"]),
     ("from quotvol import closed_volume", ["quotvol", "quotvol.closed", "quotvol.scalars"]),
