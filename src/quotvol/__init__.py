@@ -20,8 +20,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each library module and the names served from it, in export order; ``import quotvol``
-# loads none of them, and ``__getattr__`` imports each on first use.
+# Each library module and the names served from it, in export order: the one list of
+# its public names, which the module's own ``__all__`` reads.  ``import quotvol`` loads
+# none of them, and ``__getattr__`` imports each on first use.
 _EXPORTS = {
     "scalars": ("TPoly", "falling_factorial", "general_binomial", "QuotProblem", "WeightVector",
                 "default_weights"),

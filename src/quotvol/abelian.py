@@ -28,20 +28,14 @@ import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .scalars import (Record, TPoly, _as_fraction, _bits, _fraction_price, _print_price,
-                      _product_price, falling_factorial)
+from . import _EXPORTS
+from .scalars import (WORK_LIMIT, Record, TPoly, _as_fraction, _bits, _fraction_price,
+                      _print_price, _product_price, falling_factorial)
 
 if TYPE_CHECKING:  # imported where used: only acyclic volumes load the exterior algebra
     from .exterior import AcyclicData
 
-__all__ = [
-    "CurveQuotProblem",
-    "MantonNasirValues",
-    "poincare_number",
-    "symmetric_power_volume",
-    "manton_nasir_check",
-    "acyclic_volume",
-]
+__all__ = list(_EXPORTS["abelian"])
 
 
 class CurveQuotProblem(Record):
@@ -79,11 +73,11 @@ def _shifted_sum(x: Fraction | int, n: int, c: Sequence[Fraction | int]) -> TPol
                  for m in range(n + 1))
 
 
-def _shifted_sum_work(x: Fraction | int, n: int, terms: int, c_bits: int, limit: int) -> float:
+def _shifted_sum_work(x: Fraction | int, n: int, terms: int, c_bits: int) -> float:
     """``_shifted_sum`` and its printing: per term read a Fraction product and sum, and for
     x != 0 a product of b = n lg n bits of factorials; n + 1 divisions by m! (reducing b bits
-    if x != 0); coefficients of c_bits + b + (n - m) bits(x) bits.  n clamped at ``limit``."""
-    x, n = Fraction(x), min(n, limit)
+    if x != 0); coefficients of c_bits + b + (n - m) bits(x) bits.  n clamped at the limit."""
+    x, n = Fraction(x), min(n, WORK_LIMIT)
     t, lg = min(terms, n + 1), n.bit_length()
     sums, b, xbits = t * (2 * n + 3 - t) // 2, n * lg, n * (_bits(x) - 2) if x else 0
     term = _product_price(b, 2 * t * lg + xbits + c_bits) if x else 0

@@ -23,9 +23,9 @@ import time
 from fractions import Fraction
 from typing import NoReturn, Sequence
 
-from .scalars import (InputError, QuotProblem, Record, TPoly, WeightVector, _ascii_int, _bits,
-                      _print_price, _product_price, _require_int, _require_int_list,
-                      default_weights, parse_fraction)
+from .scalars import (WORK_LIMIT, InputError, QuotProblem, Record, TPoly, WeightVector,
+                      _ascii_int, _bits, _print_price, _product_price, _require_int,
+                      _require_int_list, _within_budget, default_weights, parse_fraction)
 
 if __name__ != "__main__":  # perfbench/tracer.py patches these names; delete once it stops
     from .abelian import acyclic_volume, symmetric_power_volume
@@ -190,13 +190,8 @@ def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
 
 
 # ---------------------------------------------------------------------------
-# work budget
-
-# A job whose estimated running time passes WORK_LIMIT microseconds is refused
-# before it starts.  Each engine's ``_*_work`` counts its operations from the job's
-# sizes, each clamped at the limit, and prices them with the price list of ``scalars``.
-WORK_LIMIT = 10 ** 7  # ten seconds
-
+# work budget: ``scalars`` holds the limit and the refusal and each engine counts its
+# own work; this module names the field of each refusal and prices the evaluation
 
 def _report_plan(spec: JobSpec) -> tuple | None:
     """``(degree, dim, fact, point, field_name, factor_line)``, or None for sweep
@@ -237,12 +232,6 @@ def _evaluation_work(spec: JobSpec) -> tuple[float, str]:
     return work, field_name
 
 
-def _within_budget(work: float, field_name: str) -> None:
-    if work > WORK_LIMIT:
-        raise InputError(field_name, f"estimated {work:.1e} microseconds of work, over the "
-                         f"limit of {WORK_LIMIT:.0e}; the job is refused before it starts")
-
-
 def parse_jobspec(doc: dict) -> JobSpec:
     """Validate a job document and build the library problem it runs on.
 
@@ -279,18 +268,18 @@ def parse_jobspec(doc: dict) -> JobSpec:
         from .abelian import CurveQuotProblem, _shifted_sum_work
     if command == "acyclic-volume":
         from .exterior import _parse_acyclic, _partition_work  # loaded by acyclic jobs alone
-        problem = _parse_acyclic(doc, ints["n_dim"], ints["q"])
-        work, c_bits = _partition_work(problem, WORK_LIMIT)
+        problem, rank_work = _parse_acyclic(doc, ints["n_dim"], ints["q"])
+        work, c_bits = _partition_work(problem)
         _within_budget(work, "q")
-        # then the rank-1 sum to N = rank + q - 1 (the pairings set it)
-        work += _shifted_sum_work(problem.deg_E, problem.dimension, problem.q + 1, c_bits, WORK_LIMIT)
+        # then the rank's reads and the rank-1 sum to N = rank + q - 1 (the pairings set both)
+        work += rank_work + _shifted_sum_work(problem.deg_E, problem.dimension, problem.q + 1, c_bits)
         _within_budget(work, "pairings")
     elif command == "abelian-volume":
         # a degree list has one entry per summand: one on a curve, else r
         if len(l) != 1:
             raise InputError("l", "abelian-volume takes a single degree [deg_E0]")
         problem = CurveQuotProblem(g=g, deg_E=l[0] - d, d=d)
-        work = _shifted_sum_work(problem.deg_E, d, g + 1, min(g, d * g.bit_length()), WORK_LIMIT)
+        work = _shifted_sum_work(problem.deg_E, d, g + 1, min(g, d * g.bit_length()))
         _within_budget(work, "d")
     else:
         # rows in (g, d, l) order: a sweep's ranges, or the job's one (g, d, l)
@@ -310,14 +299,14 @@ def parse_jobspec(doc: dict) -> JobSpec:
         parts = partitions if partitions is not None else (l,)
         if weights:
             from .localization import _localization_work
-            work = _localization_work(QuotProblem(g=g, r=r, l=l, d=d), weights, WORK_LIMIT)
+            work = _localization_work(QuotProblem(g=g, r=r, l=l, d=d), weights)
         else:
             from .closed import _closed_form_work
             bits = max(gs, default=0).bit_length() + max(
                 (abs(sum(part)) for part in parts), default=0).bit_length()
             work = 0
             for di in ds:  # stop at the first d past the limit: d_values may be long
-                work += len(gs) * len(parts) * _closed_form_work(r, di, bits, WORK_LIMIT)
+                work += len(gs) * len(parts) * _closed_form_work(r, di, bits)
                 if work > WORK_LIMIT:
                     break
         _within_budget(work, "r" if weights else "d" if d is not None else "d_values")
@@ -528,10 +517,10 @@ def _load_document(args: dict) -> dict:
             except ValueError:
                 raise InputError("l", f"bad degree list {value!r}") from None
         elif name == "ttilde":
-            t = doc.get("t") or {}
-            if not isinstance(t, dict):
+            t = doc.get("t")  # only null counts as absent
+            if t is not None and not isinstance(t, dict):
                 raise InputError("t", "expected an object")
-            name, value = "t", {**t, "mode": "ttilde-value", "value": value}
+            name, value = "t", {**(t or {}), "mode": "ttilde-value", "value": value}
         doc[name] = value
     return doc
 

@@ -47,9 +47,10 @@ and the volume ``rho_d / (d! (rd)! r^(rd))``.
 import math
 from fractions import Fraction
 
-from .scalars import QuotProblem, TPoly, _product_price
+from . import _EXPORTS
+from .scalars import WORK_LIMIT, QuotProblem, TPoly, _product_price
 
-__all__ = ["closed_volume"]
+__all__ = list(_EXPORTS["closed"])
 
 
 def _log_a(r: int, d: int) -> list[int]:
@@ -71,10 +72,10 @@ def _log_a(r: int, d: int) -> list[int]:
     return [(r * n) ** (r * n - 1) - logs[r * n][0] for n in range(1, d + 1)]
 
 
-def _closed_form_work(r: int, d: int, bits: int, limit: int) -> float:
+def _closed_form_work(r: int, d: int, bits: int) -> float:
     """r^2 (rd)^2/2 products ell_k c_(n-k) of k and n - k times lg(rd) bits, d^3/3 in rho of
     (n - k) s and k s bits, s = r lg(rd) + ``bits`` (g, |l|), at means over k < n."""
-    r, d = min(r, limit), min(d, limit)
+    r, d = min(r, WORK_LIMIT), min(d, WORK_LIMIT)
     n, lg = r * d, (r * d).bit_length()
     s = r * lg + bits
     return (r * r * n * n // 2 * _product_price(n * lg // 2, n * lg // 6)

@@ -40,31 +40,22 @@ import warnings
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import _EXPORTS
 from .scalars import (
+    WORK_LIMIT,
     InputError,
     Record,
     _as_fraction,
     _bits,
+    _fraction_price,
     _product_price,
     _require_int,
     _require_int_list,
+    _within_budget,
     parse_fraction,
 )
 
-__all__ = [
-    "AltForm",
-    "exp_graded",
-    "evaluate_top",
-    "top_exp_poly",
-    "theta_form",
-    "standard_symplectic_matrix",
-    "standard_symplectic_form",
-    "AcyclicData",
-    "segre_from_ch",
-    "chern_from_ch",
-    "ch_of_V",
-    "curve_acyclic_data",
-]
+__all__ = list(_EXPORTS["exterior"])
 
 
 def _parity(mask: int) -> int:
@@ -119,8 +110,8 @@ def _partition_sums(omega: Mapping[int, int], targets: Iterable[int]) -> dict[in
     return memo
 
 
-def _subset_tests(omega: Mapping[int, int], stop: float) -> tuple[int, int]:
-    """Bounds on the keys ``_partition_sums`` tests and takes, until past ``stop``: a state
+def _subset_tests(omega: Mapping[int, int]) -> tuple[int, int]:
+    """Bounds on the keys ``_partition_sums`` tests and takes, until past the limit: a state
     of least index m lost x of the a indices above m held by keys of lower least index, in
     even blocks of D or fewer: x <= (m - 1)(D - 1), x + m odd; C(a - b, x) hold b of them."""
     owned: dict[int, list[int]] = {}
@@ -133,18 +124,18 @@ def _subset_tests(omega: Mapping[int, int], stop: float) -> tuple[int, int]:
         states = {b: sum(math.comb(a - b, x) for x in range((m - 1) % 2, min(
             (m - 1) * (size - 1), a - b) + 1, 2)) for b in {0, *inside}}
         tests, taken = tests + len(inside) * states[0], taken + sum(map(states.get, inside))
-        if tests > stop:
+        if tests > WORK_LIMIT / _product_price(1, 1):  # a test is a step
             break
         below |= functools.reduce(operator.or_, owned[low])
     return tests, taken
 
 
-def _partition_work(data: AcyclicData, limit: int) -> tuple[float, int]:
+def _partition_work(data: AcyclicData) -> tuple[float, int]:
     """``(work, w + q bits(D))``, the second over every c_k's bits: a test is a step, a taken
     one four more and an entry times a memo entry of (q + 1)/2 slots of w bits on average
     (high for theta alone, whose mostly-zero entries CPython's Karatsuba partly skips)."""
     omega, w, den = _packed(*_kernel_input(data))
-    tests, taken = _subset_tests(omega, limit / (step := _product_price(1, 1)))
+    (tests, taken), step = _subset_tests(omega), _product_price(1, 1)
     entry = max(map(int.bit_length, omega.values()), default=0)
     work = (tests + 4 * taken) * step + taken * _product_price(entry, (data.q + 1) * w // 2)
     return work, w + data.q * den.bit_length()
@@ -582,9 +573,10 @@ def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
     return out
 
 
-def _parse_acyclic(doc: dict, n_dim: int, q: int) -> AcyclicData:
-    """JSON types only: ``AcyclicData`` checks the length and rank of
-    ``pairings`` and the shape and antisymmetry of ``h``."""
+def _parse_acyclic(doc: dict, n_dim: int, q: int) -> tuple[AcyclicData, float]:
+    """``(data, work)``: JSON types only, as ``AcyclicData`` checks the length and rank of
+    ``pairings`` and the shape and antisymmetry of ``h``; ``work`` prices the job's reads
+    of the rank, refused at ``pairings`` before the record is built."""
     deg_E = parse_fraction(doc["deg_E"], "deg_E")
     pairings = doc.get("pairings")
     if not isinstance(pairings, list):
@@ -598,4 +590,11 @@ def _parse_acyclic(doc: dict, n_dim: int, q: int) -> AcyclicData:
         for i, row in enumerate(h)
     )
     kappa = _parse_kappa(doc.get("kappa", []), q, n_dim)
-    return AcyclicData(n=n_dim, q=q, deg_E=deg_E, pairings=pairings, h=h, kappa_forms=kappa)
+    # a job reads the rank five times (its check, the rank-1 estimate, the plan at parse and
+    # at report, the volume): for s = n..0 a product by s and, at a nonzero pairing, one by
+    # n!/s!, of (n lg n)/2 bits on average; then a gcd at n lg n bits
+    n, bits = len(pairings), max(map(_bits, pairings), default=0)
+    b = n * n.bit_length()
+    work = 5 * ((n + sum(map(bool, pairings))) * _product_price(bits, b // 2) + _fraction_price(b))
+    _within_budget(work, "pairings")
+    return AcyclicData(n=n_dim, q=q, deg_E=deg_E, pairings=pairings, h=h, kappa_forms=kappa), work

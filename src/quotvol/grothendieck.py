@@ -16,10 +16,11 @@ import operator
 import warnings
 from fractions import Fraction
 
+from . import _EXPORTS
 from .localization import quot_volume
 from .scalars import QuotProblem, Record, TPoly
 
-__all__ = ["EmbeddingParams", "embedding_params", "grothendieck_degree"]
+__all__ = list(_EXPORTS["grothendieck"])
 
 
 class EmbeddingParams(Record):

@@ -52,17 +52,11 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import (QuotProblem, Record, TPoly, ULaurent, WeightVector, _bits,
+from . import _EXPORTS
+from .scalars import (WORK_LIMIT, QuotProblem, Record, TPoly, ULaurent, WeightVector, _bits,
                       _fraction_price, _product_price, default_weights, general_binomial)
 
-__all__ = [
-    "Composition",
-    "WeightIndependenceReport",
-    "compositions",
-    "stability_weights",
-    "quot_volume",
-    "verify_weight_independence",
-]
+__all__ = list(_EXPORTS["localization"])
 
 
 class Composition(Record):
@@ -219,20 +213,20 @@ def quot_volume(p: QuotProblem, w: WeightVector | None = None) -> TPoly:
     return total * Fraction(_sign(p), math.factorial(p.r * p.d))
 
 
-def _localization_work(p: QuotProblem, weights: Sequence[WeightVector], limit: int) -> float:
+def _localization_work(p: QuotProblem, weights: Sequence[WeightVector]) -> float:
     """Per weight vector and composition, e = d/r + 1: r(r - 1)(e^2/2 + 2e) factor keys,
     each r + 1 steps and 3 Fraction ops; then pairs of keys, each 2(r + 1) steps and 2
     Fraction ops: e^r (min(gr, d) + 1) series keys at most times an own factor and a TPoly
     of d + 1 terms, 3r(r - 1)/2 factors of e^2, g e^3/2 per summand, Horner's (rd + d + 1)^2."""
-    r, d, g = (min(x, limit) for x in (p.r, p.d, p.g))
-    s = (g + min(max(p.l) - min(p.l), limit) + d) * max(_bits(x) for w in weights for x in w.w)
+    r, d, g = (min(x, WORK_LIMIT) for x in (p.r, p.d, p.g))
+    s = (g + min(max(p.l) - min(p.l), WORK_LIMIT) + d) * max(_bits(x) for w in weights for x in w.w)
     e, k, count, step = d / r + 1, min(d, r - 1), 1, (r + 1) * _product_price(1, 1)
     keys = math.exp(min(r * math.log(e), 60)) * (min(g * r, d) + 1)  # e^60 is past any limit
     pairs = 2 * keys * (d + 1) + (r * d + d + 1) ** 2 + 3 * r * (r - 1) * e * e / 2 + g * r * e ** 3 / 2
     per = (pairs * (2 * _fraction_price(s) + 2 * step)
            + r * (r - 1) * (e * e / 2 + 2 * e) * (3 * _fraction_price(s) + step)) * len(weights)
     for i in range(1, k + 1):  # C(d + r - 1, r - 1) compositions, until past the limit
-        if count * per > limit:
+        if count * per > WORK_LIMIT:
             break
         count = count * (d + r - 1 - k + i) // i
     return count * per

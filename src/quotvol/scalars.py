@@ -19,8 +19,8 @@ error raised when a value names a field; ``parse_fraction``, ``_require_int``
 and ``_require_int_list`` read JSON values and raise it; ``_product_price``,
 ``_fraction_price`` and ``_print_price`` price every engine's work count, in
 microseconds, each timed once in process on a 2 vCPU box (CPython 3.11, best
-of 7; the box's speed varies by about 1.8x).  They live here because every
-module imports this one.
+of 7; the box's speed varies by about 1.8x), and ``_within_budget`` refuses a
+count past ``WORK_LIMIT``.  They live here because every module imports this one.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-__all__ = ["TPoly", "falling_factorial", "general_binomial", "QuotProblem", "WeightVector",
-           "default_weights"]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["scalars"])
 
 
 def falling_factorial(g: int, k: int) -> Fraction:
@@ -199,6 +200,18 @@ def _require_int_list(value, field_name: str, minimum: int | None = None) -> tup
     return tuple(
         _require_int(x, f"{field_name}[{i}]", minimum) for i, x in enumerate(value)
     )
+
+
+# A job whose estimated running time passes WORK_LIMIT microseconds is refused before it
+# starts.  Each engine's ``_*_work`` counts its operations from the job's sizes, each
+# clamped at the limit, and prices them with the three functions below.
+WORK_LIMIT = 10 ** 7  # ten seconds
+
+
+def _within_budget(work: float, field_name: str) -> None:
+    if work > WORK_LIMIT:
+        raise InputError(field_name, f"estimated {work:.1e} microseconds of work, over the "
+                         f"limit of {WORK_LIMIT:.0e}; the job is refused before it starts")
 
 
 def _bits(x: Fraction) -> int:

@@ -486,7 +486,7 @@ def test_partition_work_bounds_the_bits_of_every_c():
     cases += [dense_acyclic_data(random.Random(q), q, n_dim) for q in (2, 4, 6) for n_dim in (1, 2)]
     cases += [curve_data(g, r0, 40, 1) for g in (1, 3, 8) for r0 in (1, 3)]
     for data in cases:
-        _, bits = _partition_work(data, 10 ** 7)
+        _, bits = _partition_work(data)
         c = top_exp_poly(theta_form(data.q, data.h), _char_pieces(ch_of_V(data), 1))
         assert max(x.numerator.bit_length() + x.denominator.bit_length() for x in c) <= bits
 
@@ -506,6 +506,6 @@ def test_subset_tests_bound_the_tests_of_the_partition_sums():
         full = (1 << (2 * data.q + 1)) - 2
         tested = [(b, k) for k in _partition_sums(omega, [full]) if k for b in omega
                   if b & -b == k & -k]
-        tests, taken = _subset_tests(omega, math.inf)
+        tests, taken = _subset_tests(omega)
         assert tests >= len(tested)
         assert taken >= sum(1 for b, k in tested if not b & ~k)

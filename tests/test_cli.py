@@ -334,14 +334,23 @@ def acyclic_doc(data):
             "h": [[frac(x) for x in row] for row in data.h], "kappa": kappa}
 
 
+def large_base_doc(n_dim):
+    """An acyclic job on an n_dim-dimensional base with pairings [1, 0, ...]: rank 1, q = 0."""
+    return {"command": "acyclic-volume", "n_dim": n_dim, "q": 0, "deg_E": 0,
+            "pairings": [1] + [0] * n_dim, "h": []}
+
+
 # Jobs that would run for minutes to ages: the work budget refuses them at d
 # (at r for the localization engine, which verify runs; at q for the partition
-# sums of an acyclic job, at pairings for its rank-1 sum to N = rank + q - 1),
+# sums of an acyclic job, at pairings for its rank-1 sum to N = rank + q - 1 and
+# the reads of its rank),
 # or at the point the volume is evaluated at when that evaluation tips the job
 # over.  The q = 16 job ran over a minute on a 2 vCPU box before its budget,
 # the q = 12 job with 101-digit entries about 20 s, and the abelian job at
 # g = 10^300 about 17 s, 14 s of it printing its 301 coefficients.
 BIG = "9" * 4000
+
+
 RUNAWAY_JOBS = [
     ({"command": "abelian-volume", "g": 1, "l": [2], "d": 200000}, "d"),
     ({"command": "abelian-volume", "g": 1, "l": [2], "d": 10 ** 30}, "d"),
@@ -354,7 +363,9 @@ RUNAWAY_JOBS = [
      "n"),
 ]
 # added after the list above: kept apart and listed last below, because
-# parameter ids count positions
+# parameter ids count positions.  A read of the rank takes time quadratic in n_dim,
+# and a job reads it five times: at n_dim = 200 000 about 50 s.  Dense theta at
+# q = 20 and the weighted job at r = 8, d = 40 stop their counts past the limit.
 LATER_RUNAWAY_JOBS = [
     (dense_theta_doc(16), "q"),
     ({"command": "acyclic-volume", "n_dim": 1, "q": 0, "deg_E": "7/3", "pairings": [10 ** 6, 0],
@@ -362,6 +373,10 @@ LATER_RUNAWAY_JOBS = [
     (dense_theta_doc(12, 10 ** 100), "q"),
     ({"command": "abelian-volume", "g": 10 ** 300, "l": [300], "d": 300}, "d"),
     ({"command": "verify", "g": 1, "r": 50, "l": [0] * 50, "d": 1}, "r"),
+    (large_base_doc(200000), "pairings"),
+    (dense_theta_doc(20), "q"),
+    ({"command": "quot-volume", "g": 1, "r": 8, "l": [0] * 8, "d": 40,
+      "weights": [list(range(1, 9))]}, "r"),
 ]
 
 
@@ -446,6 +461,12 @@ def test_acyclic_jobs_within_the_budget_are_accepted():
         started = time.perf_counter()
         assert parse_jobspec(doc).problem.q == doc["q"]
         assert time.perf_counter() - started < 2.0
+
+
+def test_large_base_dimension_within_the_budget_is_accepted():
+    """n_dim = 40 000 runs in about 2 s on a 2 vCPU box, most of it in the five
+    reads of the rank; not timed here."""
+    assert parse_jobspec(large_base_doc(40000)).problem.n == 40000
 
 
 def test_rank_one_jobs_at_deg_e_zero_are_accepted():

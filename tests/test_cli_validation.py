@@ -31,8 +31,9 @@ def test_weight_vectors_are_checked_by_parse_jobspec(doc, field_name):
     assert info.value.field_name == field_name
 
 
-def test_ttilde_flag_over_a_t_that_is_not_an_object():
-    code, _, err = run_main(["quot-volume", "--ttilde", "1/2"], json.dumps({**QV, "t": "x"}))
+@pytest.mark.parametrize("t", ["x", [], 0, False, ""])
+def test_ttilde_flag_over_a_t_that_is_not_an_object(t):
+    code, _, err = run_main(["quot-volume", "--ttilde", "1/2"], json.dumps({**QV, "t": t}))
     assert code == 2
     assert err.startswith("input error at 't'")
 
