@@ -6,7 +6,7 @@ rationals rendered as ``num/den`` strings; ``--format plain`` and
 ``--format latex`` provide human- and TeX-readable polynomial renderings.
 Timing goes to stderr so stdout stays byte-identical across runs.
 
-Exit codes: 0 success, 2 input error, 3 computation error.
+Exit codes: 0 success, 1 stdout closed early, 2 input error, 3 computation error.
 
 Run as ``__main__`` (``python -m quotvol.cli``, the ``quotvol`` script), it
 imports ``scalars`` and only the engine of the job's command; imported as a
@@ -18,6 +18,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -271,7 +272,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
         problem, rank_work = _parse_acyclic(doc, ints["n_dim"], ints["q"])
         work, c_bits = _partition_work(problem)
         _within_budget(work, "q")
-        # then the rank's reads and the rank-1 sum to N = rank + q - 1 (the pairings set both)
+        # then the record's rank and the rank-1 sum to N = rank + q - 1 (the pairings set both)
         work += rank_work + _shifted_sum_work(problem.deg_E, problem.dimension, problem.q + 1, c_bits)
         _within_budget(work, "pairings")
     elif command == "abelian-volume":
@@ -482,6 +483,13 @@ def _build_argparser(argv: Sequence[str]) -> dict | None:
     return args
 
 
+def _finite(text: str) -> float:
+    """A JSON number; NaN, Infinity and ``1e999`` (past the float range) are not JSON."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _load_document(args: dict) -> dict:
     doc: dict = {}
     if args.get("file"):
@@ -500,7 +508,7 @@ def _load_document(args: dict) -> dict:
     text = text.strip()
     if text:
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
         except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             raise InputError("$", f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
@@ -564,8 +572,14 @@ def entry() -> NoReturn:
     collections at interpreter shutdown do not scan.  Shutdown is otherwise
     normal: streams are flushed, ``atexit`` handlers run, modules are torn
     down.  ``main()`` itself does not freeze, because tests and tracers call
-    it many times in one process."""
-    code = main()
+    it many times in one process.  A reader that closes stdout early gets exit
+    code 1 and no traceback: fd 1 then points at ``os.devnull`` for the exit flush."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     gc.freeze()
     sys.exit(code)
 

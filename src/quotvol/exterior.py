@@ -404,7 +404,13 @@ def chern_from_ch(ch: Sequence[AltForm], top_degree: int) -> list[AltForm]:
     return _char_exp(ch, top_degree, -1)
 
 
-class AcyclicData(Record):
+class _Derived(Record):
+    """Values worked out once: ``Record`` takes fields from the subclass's own ``__slots__``."""
+
+    __slots__ = ("rank", "dimension", "_theta")
+
+
+class AcyclicData(_Derived):
     """Pairing data describing an acyclic pair on an n-dimensional base.
 
     ``pairings[s]`` is the number ``<m^s C_(n-s), [X]>`` (``C_i`` the
@@ -414,8 +420,11 @@ class AcyclicData(Record):
     ``x_1, ..., x_2i -> <x_1 ... x_2i m^s C_(n-i-s), [X]>``.  Records compare
     by value; holding a dict, they do not hash.
 
-    A bad ``pairings`` or ``h`` raises ``InputError`` naming the field when
-    the record is built.
+    ``rank``, the Fraction ``sum (-1)^s pairings[s]/s!`` (chi of the twisted sections
+    bundle), ``dimension``, the int N = rank + q - 1 of the projective bundle, and the
+    theta form of ``h`` are worked out once, when the record is built; they are not
+    fields, and depend only on ``n``, ``q``, ``pairings`` and ``h``.  A bad ``pairings``
+    or ``h`` raises ``InputError`` naming the field.
     """
 
     __slots__ = ("n", "q", "deg_E", "pairings", "h", "kappa_forms")
@@ -447,7 +456,13 @@ class AcyclicData(Record):
         if len(self.pairings) != n + 1:
             raise InputError("pairings", f"need pairings for s = 0..n: expected {n + 1} "
                              f"entries, got {len(self.pairings)}")
-        rank = self.rank
+        # the rank, summed in integers over the common denominator D n! and divided once
+        den = math.lcm(*(p.denominator for p in self.pairings))
+        total, weight = 0, 1  # weight = n!/s!
+        for s, p in zip(range(n, -1, -1), reversed(self.pairings)):
+            total += (-1) ** s * p.numerator * (den // p.denominator) * weight
+            weight *= s
+        rank = Fraction(total, den * math.factorial(n))
         if rank.denominator != 1 or rank < 1:
             # spelled out only when short: a long one could pass the integer-text limit
             got = rank if _bits(rank) < 1000 else "a rational of over 300 digits"
@@ -460,23 +475,9 @@ class AcyclicData(Record):
                 raise ValueError("rank mismatch in kappa form")
             if any(k != 2 * i for k in form.degrees()):
                 raise ValueError("graded degree error")
-        theta_form(q, self.h)
-
-    @property
-    def rank(self) -> Fraction:
-        """chi of the twisted sections bundle: sum (-1)^s pairings[s]/s!, summed
-        in integers over the common denominator D n! and divided once."""
-        den = math.lcm(*(p.denominator for p in self.pairings))
-        total, weight = 0, 1  # weight = n!/s!
-        for s, p in zip(range(self.n, -1, -1), reversed(self.pairings)):
-            total += (-1) ** s * p.numerator * (den // p.denominator) * weight
-            weight *= s
-        return Fraction(total, den * math.factorial(self.n))
-
-    @property
-    def dimension(self) -> int:
-        """N = rank + q - 1, the dimension of the projective bundle."""
-        return int(self.rank) + self.q - 1
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "dimension", int(rank) + q - 1)
+        object.__setattr__(self, "_theta", theta_form(q, self.h))
 
 
 def ch_of_V(data: AcyclicData) -> list[AltForm]:
@@ -495,9 +496,9 @@ def ch_of_V(data: AcyclicData) -> list[AltForm]:
 
 
 def _kernel_input(data: AcyclicData) -> tuple[AltForm, list[AltForm]]:
-    """``(theta, pieces)``: the input of ``top_exp_poly`` for ``data``, its theta form
-    and the logarithm of its total Segre class."""
-    return theta_form(data.q, data.h), _char_pieces(ch_of_V(data), 1)
+    """``(theta, pieces)``: the input of ``top_exp_poly`` for ``data``, its stored theta
+    form and the logarithm of its total Segre class."""
+    return data._theta, _char_pieces(ch_of_V(data), 1)
 
 
 def curve_acyclic_data(g: int, r0: int, deg_E0: int, m: int) -> AcyclicData:
@@ -575,8 +576,8 @@ def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
 
 def _parse_acyclic(doc: dict, n_dim: int, q: int) -> tuple[AcyclicData, float]:
     """``(data, work)``: JSON types only, as ``AcyclicData`` checks the length and rank of
-    ``pairings`` and the shape and antisymmetry of ``h``; ``work`` prices the job's reads
-    of the rank, refused at ``pairings`` before the record is built."""
+    ``pairings`` and the shape and antisymmetry of ``h``; ``work`` prices the record's one
+    computation of the rank, refused at ``pairings`` before the record is built."""
     deg_E = parse_fraction(doc["deg_E"], "deg_E")
     pairings = doc.get("pairings")
     if not isinstance(pairings, list):
@@ -590,11 +591,10 @@ def _parse_acyclic(doc: dict, n_dim: int, q: int) -> tuple[AcyclicData, float]:
         for i, row in enumerate(h)
     )
     kappa = _parse_kappa(doc.get("kappa", []), q, n_dim)
-    # a job reads the rank five times (its check, the rank-1 estimate, the plan at parse and
-    # at report, the volume): for s = n..0 a product by s and, at a nonzero pairing, one by
-    # n!/s!, of (n lg n)/2 bits on average; then a gcd at n lg n bits
+    # the rank, worked out once: for s = n..0 a product by s and, at a nonzero pairing, one
+    # by n!/s!, of (n lg n)/2 bits on average; then a gcd at n lg n bits
     n, bits = len(pairings), max(map(_bits, pairings), default=0)
     b = n * n.bit_length()
-    work = 5 * ((n + sum(map(bool, pairings))) * _product_price(bits, b // 2) + _fraction_price(b))
+    work = (n + sum(map(bool, pairings))) * _product_price(bits, b // 2) + _fraction_price(b)
     _within_budget(work, "pairings")
     return AcyclicData(n=n_dim, q=q, deg_E=deg_E, pairings=pairings, h=h, kappa_forms=kappa), work

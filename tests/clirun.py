@@ -48,10 +48,16 @@ def run_main(argv: list[str], stdin: str | bytes = "") -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_python(*args: str, stdin: str | bytes = "") -> tuple[int, str, str]:
-    """``sys.executable *args`` as a child process, given ``stdin``."""
+def child_env() -> dict[str, str]:
+    """The environment of a child process: ``src`` first on ``PYTHONPATH``, and
+    no ``PYTHONUNBUFFERED``."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_python(*args: str, stdin: str | bytes = "") -> tuple[int, str, str]:
+    """``sys.executable *args`` as a child process, given ``stdin``."""
     proc = subprocess.run([sys.executable, *args], input=_bytes(stdin), capture_output=True,
-                          env=env, timeout=60)
+                          env=child_env(), timeout=60)
     return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")

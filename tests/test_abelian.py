@@ -235,14 +235,14 @@ def test_rank_matches_the_factorial_sum():
 
 
 def test_rank_is_fast_at_large_base_dimension():
-    # rank is evaluated three times here.  In integers this takes about 0.1 s;
+    # the record works out its rank once.  In integers this takes about 0.03 s;
     # a Fraction sum over the growing denominators s! takes about a minute.
     started = time.perf_counter()
     data = AcyclicData(n=10000, q=0, deg_E=0, pairings=[1] + [0] * 10000, h=())
     assert (data.rank, data.dimension) == (1, 0)
     assert time.perf_counter() - started < 10.0
     # every pairing nonzero: (-1)^s (s+1)/s! telescopes, so the partial sums
-    # are +-1/s! and the total is 1.  In integers about 0.2 s; a Fraction sum
+    # are +-1/s! and the total is 1.  In integers about 0.03 s; a Fraction sum
     # that skips only zero pairings takes about 12 s.
     n = 6000
     started = time.perf_counter()

@@ -1,12 +1,15 @@
 import gc
 import itertools
 import json
+import math
 import random
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
 
-from clirun import ACYCLIC, run_main, run_python
+from clirun import ACYCLIC, child_env, run_main, run_python
 from quotvol import cli
 from quotvol.abelian import AcyclicData, CurveQuotProblem
 from quotvol.cli import parse_fraction, parse_jobspec, render_latex, render_plain, run_job
@@ -363,8 +366,8 @@ RUNAWAY_JOBS = [
      "n"),
 ]
 # added after the list above: kept apart and listed last below, because
-# parameter ids count positions.  A read of the rank takes time quadratic in n_dim,
-# and a job reads it five times: at n_dim = 200 000 about 50 s.  Dense theta at
+# parameter ids count positions.  The rank takes time quadratic in n_dim, and the
+# record works it out once: at n_dim = 200 000 about 13 s.  Dense theta at
 # q = 20 and the weighted job at r = 8, d = 40 stop their counts past the limit.
 LATER_RUNAWAY_JOBS = [
     (dense_theta_doc(16), "q"),
@@ -464,9 +467,49 @@ def test_acyclic_jobs_within_the_budget_are_accepted():
 
 
 def test_large_base_dimension_within_the_budget_is_accepted():
-    """n_dim = 40 000 runs in about 2 s on a 2 vCPU box, most of it in the five
-    reads of the rank; not timed here."""
-    assert parse_jobspec(large_base_doc(40000)).problem.n == 40000
+    """n_dim = 40 000 runs in about 0.6 s and n_dim = 70 000 in about 1.9 s on a
+    2 vCPU box, almost all of it in the one computation of the rank; not timed here."""
+    for n_dim in (40000, 70000):
+        assert parse_jobspec(large_base_doc(n_dim)).problem.n == n_dim
+
+
+class CountingMath:
+    """Stands in for ``math`` in a module, recording each call by name and arguments."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def call(*args):
+            self.calls.append((name, args))
+            return getattr(math, name)(*args)
+        return call
+
+
+def test_acyclic_job_works_out_its_rank_and_theta_form_once(monkeypatch):
+    """One acyclic-volume job, parsed and run, builds theta once and sums the rank
+    once (the one n_dim! of the record); reading ``rank`` and ``dimension`` again
+    then computes nothing."""
+    import quotvol.exterior as exterior
+
+    thetas, counting, original = [], CountingMath(), exterior.theta_form
+
+    def theta_form(*args):
+        thetas.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exterior, "theta_form", theta_form)
+    monkeypatch.setattr(exterior, "math", counting)
+    # n_dim = 3, rank 1: the kappa forms' own factorials stop at s! for s <= 2
+    kappa = [{"i": 1, "s": s, "terms": [{"indices": [1, 2], "coeff": "1/1"}]} for s in range(3)]
+    doc = {**ACYCLIC, "n_dim": 3, "pairings": [1, 0, 0, 0], "kappa": kappa}
+    spec = parse_jobspec(doc)
+    assert run_job(spec)["input"] == doc
+    assert len(thetas) == 1
+    assert counting.calls.count(("factorial", (3,))) == 1
+    data, before = spec.problem, len(counting.calls)
+    assert (data.rank, data.dimension) == (1, 1)
+    assert data.rank is data.rank and len(counting.calls) == before
 
 
 def test_rank_one_jobs_at_deg_e_zero_are_accepted():
@@ -678,6 +721,15 @@ def test_undecodable_file_is_an_input_error(tmp_path):
     assert err.startswith("input error at 'file': 'utf-8' codec can't decode"), err
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_is_an_input_error(number):
+    """Python's JSON reader takes NaN and the infinities, and reads 1e999 as inf;
+    none is JSON, so echoing one under ``input`` would print invalid JSON."""
+    text = '{"g": 1, "r": 2, "l": [0, 1], "d": 1, "note": %s}' % number
+    assert run_main(["quot-volume"], text) == (
+        cli.EXIT_INPUT, "", f"input error at '$': invalid JSON: {number} is not a finite number\n")
+
+
 def test_undecodable_stdin_is_an_input_error():
     code, out, err = run_main(["quot-volume"], b"\xff{}")
     assert code == cli.EXIT_INPUT
@@ -747,6 +799,24 @@ def test_large_stdout_arrives_whole_through_a_pipe():
     code, out, err = run_python(*CLI, "acyclic-volume", stdin=doc)
     assert code == 0, err
     assert out == want
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["abelian-volume", "--g", "40", "--l", "2000", "--d", "2000"], b""),  # 258 KB of output
+    (["quot-volume"], json.dumps({"g": 1, "r": 2, "l": [0, 1], "d": 1}).encode()),
+], ids=["read-10-bytes", "closed-before-the-job"])
+def test_closed_stdout_exits_1_without_a_traceback(argv, stdin):
+    """A reader that stops early (``| head -c 10``) breaks the pipe during the
+    write, or before a short answer's flush at exit; either way exit code 1."""
+    proc = subprocess.Popen([sys.executable, *CLI, *argv], stdout=subprocess.PIPE,
+                            stdin=subprocess.PIPE if stdin else subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, env=child_env())
+    if not stdin:
+        assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()  # before the child has read the job, when it is given one
+    err = proc.communicate(stdin or None, timeout=60)[1].decode()
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # A process started as a script compiles only ``scalars`` and the engine its

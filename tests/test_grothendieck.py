@@ -108,3 +108,11 @@ def test_degree_reuses_a_supplied_volume():
     assert grothendieck_degree(p, 5, quot_volume(p)) == grothendieck_degree(p, 5)
     # the supplied polynomial is the one evaluated: (rd)! * 1 at any twist
     assert grothendieck_degree(p, 5, TPoly((1,))) == math.factorial(4)
+
+
+def test_degree_integrality_guard_raises():
+    """A volume whose degree is not an integer means a broken pipeline: 1! * 1/3."""
+    from quotvol.scalars import TPoly
+
+    with pytest.raises(ArithmeticError, match="degree integrality violated: got 1/3"):
+        grothendieck_degree(QuotProblem(g=1, r=1, l=(0,), d=1), 2, TPoly([Fraction(1, 3)]))
