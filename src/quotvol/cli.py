@@ -26,7 +26,8 @@ from typing import NoReturn, Sequence
 
 from .scalars import (WORK_LIMIT, InputError, QuotProblem, Record, TPoly, WeightVector,
                       _ascii_int, _bits, _print_price, _product_price, _require_int,
-                      _require_int_list, _within_budget, default_weights, parse_fraction)
+                      _require_int_list, _row_price, _within_budget, default_weights,
+                      parse_fraction)
 
 if __name__ != "__main__":  # perfbench/tracer.py patches these names; delete once it stops
     from .abelian import acyclic_volume, symmetric_power_volume
@@ -40,17 +41,21 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_COMPUTE = 3
 
-# The fields each command needs.  A tuple entry is met by any one of its
-# names: a sweep takes a single value or a range.
-_REQUIRED = {
-    "abelian-volume": ("g", "l", "d"),
-    "acyclic-volume": ("n_dim", "q", "deg_E"),
-    "quot-volume": ("g", "r", "l", "d"),
-    "grothendieck-degree": ("g", "r", "l", "d", "n"),
-    "verify": ("g", "r", "l", "d"),
-    "sweep": ("r", ("g", "g_values"), ("d", "d_values"), ("l", "l_partitions")),
+# Each command's row: the fields it needs (a tuple entry is met by any one of its names: a
+# sweep takes a single value or a range), the engine function that computes its volume, and
+# its report head, (degree in ttilde, exponent of (4 pi^2), base dimension) of its problem.
+_COMMANDS = {
+    "abelian-volume": (("g", "l", "d"), "abelian.symmetric_power_volume", lambda p: (p.d, p.d, 1)),
+    "acyclic-volume": (("n_dim", "q", "deg_E"), "abelian.acyclic_volume",
+                       lambda p: (p.dimension, p.dimension, p.n)),
+    "quot-volume": (("g", "r", "l", "d"), "closed.closed_volume", lambda p: (p.d, p.r * p.d, 1)),
+    "grothendieck-degree": (("g", "r", "l", "d", "n"), "closed.closed_volume",
+                            lambda p: (p.d, p.r * p.d, 1)),
+    "verify": (("g", "r", "l", "d"), "localization.verify_weight_independence", None),
+    "sweep": (("r", ("g", "g_values"), ("d", "d_values"), ("l", "l_partitions")),
+              "closed.closed_volume", None),
 }
-COMMANDS = tuple(_REQUIRED)
+COMMANDS = tuple(_COMMANDS)
 
 TTILDE_CHAR = "\U0001d531"  # fraktur t, used only in plain rendering
 
@@ -195,26 +200,23 @@ def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
 # own work; this module names the field of each refusal and prices the evaluation
 
 def _report_plan(spec: JobSpec) -> tuple | None:
-    """``(degree, dim, fact, point, field_name, factor_line)``, or None for sweep
-    and verify: the volume's degree in ttilde; the metric volume is (4 pi^2)^dim
-    times it; a physical t is ttilde = fact t vol_X / (2 pi), fact the (n-1)! of
-    the base dimension (1 on a curve); the point the job evaluates the volume at
-    (or None) and the field that sets it; whether (4 pi^2)^dim prints by itself."""
-    p, command, pi = spec.problem, spec.command, spec.pi_probe
-    if command in ("sweep", "verify"):
+    """``(degree, dim, fact, point, field_name, factor_line)``, or None for sweep and verify:
+    the row's head; in physical-t mode fact = (n-1)!, and ttilde = fact t vol_X / (2 pi) (else
+    None); the point the volume is evaluated at (or None) and the field that sets it; whether
+    (4 pi^2)^dim prints by itself."""
+    head, p, pi = _COMMANDS[spec.command][2], spec.problem, spec.pi_probe
+    if head is None:
         return None
-    acyclic = command == "acyclic-volume"
-    degree = p.dimension if acyclic else p.d
-    dim = degree if acyclic or command == "abelian-volume" else p.r * degree
-    fact = math.factorial(p.n - 1) if acyclic else 1
+    degree, dim, n = head(p)
+    fact = math.factorial(n - 1) if spec.t_mode == "physical-t" else None
     point, field_name = None, "t.pi_probe"
-    if command == "grothendieck-degree":  # (rd)! Vol(n - g + 1)
+    if spec.command == "grothendieck-degree":  # (rd)! Vol(n - g + 1)
         point, field_name = Fraction(spec.n - p.g + 1), "n"
     elif spec.t_mode == "ttilde-value":
         point, field_name = spec.t_value, "t.value"
-    elif spec.t_mode == "physical-t" and pi is not None:
+    elif fact is not None and pi is not None:
         point = fact * spec.t_value * spec.vol_X / (2 * pi)
-    return degree, dim, fact, point, field_name, command == "abelian-volume"
+    return degree, dim, fact, point, field_name, spec.command == "abelian-volume"
 
 
 def _evaluation_work(spec: JobSpec) -> tuple[float, str]:
@@ -247,7 +249,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
     out_format = doc.get("format", "json")
     if out_format not in ("json", "latex", "plain"):
         raise InputError("format", "expected one of json, latex, plain")
-    for need in _REQUIRED[command]:
+    for need in _COMMANDS[command][0]:
         if isinstance(need, str):
             if doc.get(need) is None:
                 raise InputError(need, f"required for {command}")
@@ -269,7 +271,8 @@ def parse_jobspec(doc: dict) -> JobSpec:
         from .abelian import CurveQuotProblem, _shifted_sum_work
     if command == "acyclic-volume":
         from .exterior import _parse_acyclic, _partition_work  # loaded by acyclic jobs alone
-        problem, rank_work = _parse_acyclic(doc, ints["n_dim"], ints["q"])
+        problem, rank_work = _parse_acyclic(doc, ints["n_dim"], ints["q"],
+                                            t_section[0] == "physical-t")
         work, c_bits = _partition_work(problem)
         _within_budget(work, "q")
         # then the record's rank and the rank-1 sum to N = rank + q - 1 (the pairings set both)
@@ -307,7 +310,8 @@ def parse_jobspec(doc: dict) -> JobSpec:
                 (abs(sum(part)) for part in parts), default=0).bit_length()
             work = 0
             for di in ds:  # stop at the first d past the limit: d_values may be long
-                work += len(gs) * len(parts) * _closed_form_work(r, di, bits)
+                row = _row_price(min(di, WORK_LIMIT) + 1) + _closed_form_work(r, di, bits)
+                work += len(gs) * len(parts) * row
                 if work > WORK_LIMIT:
                     break
         _within_budget(work, "r" if weights else "d" if d is not None else "d_values")
@@ -369,44 +373,36 @@ def _emit_volume(out: dict, spec: JobSpec, volume: TPoly, **extra) -> dict:
 def run_job(spec: JobSpec) -> dict:
     """Execute one job that ``parse_jobspec`` accepted; return the result document.
 
-    Volumes come from the closed form, except where the job names torus
-    weights (a weighted ``quot-volume``, ``verify``): those are inputs of the
-    localization engine, which then runs.  Only the engine the job runs is
-    imported, so a process started as a script loads no other."""
-    problem = spec.problem
+    The job's row names the engine, but a weighted ``quot-volume`` runs localization, whose
+    inputs the weights are.  The engine is imported and looked up here, at run time: a process
+    started as a script loads no other, and a wrapper set in the engine's module is called."""
+    command, problem = spec.command, spec.problem
+    module, _, name = ("localization.quot_volume" if command == "quot-volume" and spec.weights
+                       else _COMMANDS[command][1]).partition(".")
+    engine = getattr(__import__(f"quotvol.{module}", fromlist=[name]), name)
     result = {"schema": SCHEMA_VERSION, "input": spec.echo}
-    if spec.weights:  # a weighted quot-volume, or verify
-        from .localization import quot_volume, verify_weight_independence
-    elif spec.command in ("abelian-volume", "acyclic-volume"):
-        from .abelian import acyclic_volume, symmetric_power_volume
-    else:
-        from .closed import closed_volume
-    if spec.command == "sweep":
+    if command == "sweep":
         result["rows"] = [
-            _emit_volume({"g": p.g, "r": p.r, "d": p.d, "l": list(p.l)}, spec, closed_volume(p))
+            _emit_volume({"g": p.g, "r": p.r, "d": p.d, "l": list(p.l)}, spec, engine(p))
             for p in problem
         ]
-    elif spec.command in ("abelian-volume", "acyclic-volume", "quot-volume"):
-        if spec.command == "quot-volume":
-            volume = quot_volume(problem, spec.weights[0]) if spec.weights else closed_volume(problem)
-        else:
-            abelian = spec.command == "abelian-volume"
-            volume = (symmetric_power_volume if abelian else acyclic_volume)(problem)
-        report, unnormalized = _t_report(spec, volume)
-        _emit_volume(result, spec, volume, t=report)
-        if unnormalized is not None:
-            result["unnormalized"] = unnormalized
-    elif spec.command == "grothendieck-degree":
-        from .grothendieck import grothendieck_degree
-        volume = closed_volume(problem)
-        _emit_volume(result, spec, volume, degree=grothendieck_degree(problem, spec.n, volume))
-    else:  # verify
-        report = verify_weight_independence(problem, spec.weights)
+    elif command == "verify":
+        report = engine(problem, spec.weights)
         result["verify"] = {
             "suite": "weight-independence", "pass": report.passed, "candidates": len(spec.weights),
             "volumes": [{"weights": [format_fraction(x) for x in w.w],
                          "coefficients": poly_coefficients(v)} for w, v in report.volumes],
         }
+    elif command == "grothendieck-degree":
+        from .grothendieck import grothendieck_degree
+        volume = engine(problem)
+        _emit_volume(result, spec, volume, degree=grothendieck_degree(problem, spec.n, volume))
+    else:
+        volume = engine(problem, *(spec.weights or ()))  # a quot-volume names one vector
+        report, unnormalized = _t_report(spec, volume)
+        _emit_volume(result, spec, volume, t=report)
+        if unnormalized is not None:
+            result["unnormalized"] = unnormalized
     return result
 
 

@@ -48,6 +48,7 @@ from .scalars import (
     _as_fraction,
     _bits,
     _fraction_price,
+    _print_price,
     _product_price,
     _require_int,
     _require_int_list,
@@ -574,10 +575,11 @@ def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
     return out
 
 
-def _parse_acyclic(doc: dict, n_dim: int, q: int) -> tuple[AcyclicData, float]:
+def _parse_acyclic(doc: dict, n_dim: int, q: int, physical: bool) -> tuple[AcyclicData, float]:
     """``(data, work)``: JSON types only, as ``AcyclicData`` checks the length and rank of
     ``pairings`` and the shape and antisymmetry of ``h``; ``work`` prices the record's one
-    computation of the rank, refused at ``pairings`` before the record is built."""
+    computation of the rank and, for a ``physical`` t, the (n_dim - 1)! that the report
+    prints, refused at ``pairings`` before the record is built."""
     deg_E = parse_fraction(doc["deg_E"], "deg_E")
     pairings = doc.get("pairings")
     if not isinstance(pairings, list):
@@ -596,5 +598,7 @@ def _parse_acyclic(doc: dict, n_dim: int, q: int) -> tuple[AcyclicData, float]:
     n, bits = len(pairings), max(map(_bits, pairings), default=0)
     b = n * n.bit_length()
     work = (n + sum(map(bool, pairings))) * _product_price(bits, b // 2) + _fraction_price(b)
+    if physical:  # (n_dim - 1)! = (n - 2)!, of lg((n - 2)!) bits
+        work += _print_price(int(math.lgamma(max(n - 1, 1)) / math.log(2)))
     _within_budget(work, "pairings")
     return AcyclicData(n=n_dim, q=q, deg_E=deg_E, pairings=pairings, h=h, kappa_forms=kappa), work

@@ -19,8 +19,9 @@ error raised when a value names a field; ``parse_fraction``, ``_require_int``
 and ``_require_int_list`` read JSON values and raise it; ``_product_price``,
 ``_fraction_price`` and ``_print_price`` price every engine's work count, in
 microseconds, each timed once in process on a 2 vCPU box (CPython 3.11, best
-of 7; the box's speed varies by about 1.8x), and ``_within_budget`` refuses a
-count past ``WORK_LIMIT``.  They live here because every module imports this one.
+of 7; the box's speed varies by about 1.8x), ``_row_price`` the fixed work of
+each result row, and ``_within_budget`` refuses a count past ``WORK_LIMIT``.
+They live here because every module imports this one.
 """
 
 from __future__ import annotations
@@ -235,6 +236,13 @@ def _fraction_price(s: int) -> float:
 def _print_price(s: int) -> float:
     """``str()`` of an integer of s bits: s^2/600000 (timed at s = 10^4 to 10^5)."""
     return s * s / 600000
+
+
+def _row_price(k: int) -> float:
+    """One result row of k coefficients, its problem built, its volume function called and
+    its coefficients emitted and printed as JSON: 20 a row and 6.5 a coefficient (timed as
+    whole ``sweep`` processes of 100 000 rows at r = 1 and d = 0, 1, 2, best of 5)."""
+    return 20 + 6.5 * k
 
 
 class TPoly:

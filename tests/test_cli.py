@@ -369,6 +369,10 @@ RUNAWAY_JOBS = [
 # parameter ids count positions.  The rank takes time quadratic in n_dim, and the
 # record works it out once: at n_dim = 200 000 about 13 s.  Dense theta at
 # q = 20 and the weighted job at r = 8, d = 40 stop their counts past the limit.
+# A sweep row costs its own work however cheap its closed form: 400 000 rows at
+# d = 0 ran about 12 s.  A physical t prints (n_dim - 1)!: at n_dim = 130 000 its
+# 608 352 digits took the job from 6 s to about 12 s.
+PHYSICAL_T = {"mode": "physical-t", "value": "1/2", "vol_X": 1}
 LATER_RUNAWAY_JOBS = [
     (dense_theta_doc(16), "q"),
     ({"command": "acyclic-volume", "n_dim": 1, "q": 0, "deg_E": "7/3", "pairings": [10 ** 6, 0],
@@ -380,6 +384,8 @@ LATER_RUNAWAY_JOBS = [
     (dense_theta_doc(20), "q"),
     ({"command": "quot-volume", "g": 1, "r": 8, "l": [0] * 8, "d": 40,
       "weights": [list(range(1, 9))]}, "r"),
+    ({"command": "sweep", "r": 1, "g_values": list(range(400000)), "d": 0, "l": [0]}, "d"),
+    ({**large_base_doc(130000), "t": PHYSICAL_T}, "pairings"),
 ]
 
 
@@ -468,9 +474,17 @@ def test_acyclic_jobs_within_the_budget_are_accepted():
 
 def test_large_base_dimension_within_the_budget_is_accepted():
     """n_dim = 40 000 runs in about 0.6 s and n_dim = 70 000 in about 1.9 s on a
-    2 vCPU box, almost all of it in the one computation of the rank; not timed here."""
-    for n_dim in (40000, 70000):
-        assert parse_jobspec(large_base_doc(n_dim)).problem.n == n_dim
+    2 vCPU box, almost all of it in the one computation of the rank, and in about
+    3 s with the physical-t report, which prints (n_dim - 1)!; not timed here."""
+    for doc in (large_base_doc(40000), large_base_doc(70000),
+                {**large_base_doc(70000), "t": PHYSICAL_T}):
+        assert parse_jobspec(doc).problem.n == doc["n_dim"]
+
+
+def test_a_sweep_of_100_000_rows_is_accepted():
+    """100 000 rows at d = 0 run in about 3 s on a 2 vCPU box; not timed here."""
+    doc = {"command": "sweep", "r": 1, "g_values": list(range(100000)), "d": 0, "l": [0]}
+    assert len(parse_jobspec(doc).problem) == 100000
 
 
 class CountingMath:
@@ -510,6 +524,19 @@ def test_acyclic_job_works_out_its_rank_and_theta_form_once(monkeypatch):
     data, before = spec.problem, len(counting.calls)
     assert (data.rank, data.dimension) == (1, 1)
     assert data.rank is data.rank and len(counting.calls) == before
+
+
+@pytest.mark.parametrize("t, factorials", [
+    (None, 0), ({"mode": "ttilde-value", "value": "-5/3"}, 0), (PHYSICAL_T, 2),
+], ids=["symbolic", "value", "physical"])
+def test_only_a_physical_t_works_out_the_base_factorial(monkeypatch, t, factorials):
+    """(n_dim - 1)! is printed only in the physical-t substitution, so ``cli`` works it
+    out only for that report: once at parse and once at report."""
+    counting = CountingMath()
+    monkeypatch.setattr(cli, "math", counting)
+    doc = {**large_base_doc(3), **({"t": t} if t else {})}
+    run_job(parse_jobspec(doc))
+    assert [name for name, _ in counting.calls].count("factorial") == factorials
 
 
 def test_rank_one_jobs_at_deg_e_zero_are_accepted():
