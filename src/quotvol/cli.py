@@ -1,10 +1,10 @@
 """Batch command line: JSON job documents in, exact results out.
 
 A job is a single JSON object (stdin or ``--file``), optionally overridden
-by flat flags for scripting.  Results are deterministic JSON documents with
-rationals rendered as ``num/den`` strings; ``--format plain`` and
-``--format latex`` provide human- and TeX-readable polynomial renderings.
-Timing goes to stderr so stdout stays byte-identical across runs.
+by flat flags for scripting.  ``run_job``'s result holds each volume as its
+``TPoly`` until ``main`` renders it as JSON (``num/den`` strings), plain or TeX
+text, printing each coefficient once, from the exact polynomial.  Timing goes
+to stderr so stdout stays byte-identical across runs.
 
 Exit codes: 0 success, 1 stdout closed early, 2 input error, 3 computation error.
 
@@ -79,7 +79,7 @@ def format_fraction(value: Fraction) -> str:
 # polynomial rendering
 
 def poly_coefficients(p: TPoly) -> list[str]:
-    """Ascending coefficient list; index k is the degree-k coefficient."""
+    """A volume's JSON form: ascending ``num/den`` list, index k the degree-k coefficient."""
     return [format_fraction(c) for c in p.coeffs] or [format_fraction(Fraction(0))]
 
 
@@ -363,7 +363,7 @@ def _t_report(spec: JobSpec, volume: TPoly) -> tuple[dict | None, dict | None]:
 def _emit_volume(out: dict, spec: JobSpec, volume: TPoly, **extra) -> dict:
     """Add ``volume``, then each ``extra`` field that is not None, then
     ``latex`` when asked for; this fixes the key order of stdout."""
-    out["volume"] = {"variable": "ttilde", "coefficients": poly_coefficients(volume)}
+    out["volume"] = {"variable": "ttilde", "coefficients": volume}
     out.update((key, value) for key, value in extra.items() if value is not None)
     if spec.out_format == "latex":
         out["latex"] = render_latex(volume)
@@ -371,11 +371,11 @@ def _emit_volume(out: dict, spec: JobSpec, volume: TPoly, **extra) -> dict:
 
 
 def run_job(spec: JobSpec) -> dict:
-    """Execute one job that ``parse_jobspec`` accepted; return the result document.
-
-    The job's row names the engine, but a weighted ``quot-volume`` runs localization, whose
-    inputs the weights are.  The engine is imported and looked up here, at run time: a process
-    started as a script loads no other, and a wrapper set in the engine's module is called."""
+    """Execute one job that ``parse_jobspec`` accepted; return the result document, with
+    each volume's ``TPoly`` under ``coefficients`` until ``main`` renders it.  The job's row
+    names the engine, but a weighted ``quot-volume`` runs localization, whose inputs the
+    weights are.  The engine is imported and looked up here, at run time: a process started
+    as a script loads no other, and a wrapper set in the engine's module is called."""
     command, problem = spec.command, spec.problem
     module, _, name = ("localization.quot_volume" if command == "quot-volume" and spec.weights
                        else _COMMANDS[command][1]).partition(".")
@@ -391,7 +391,7 @@ def run_job(spec: JobSpec) -> dict:
         result["verify"] = {
             "suite": "weight-independence", "pass": report.passed, "candidates": len(spec.weights),
             "volumes": [{"weights": [format_fraction(x) for x in w.w],
-                         "coefficients": poly_coefficients(v)} for w, v in report.volumes],
+                         "coefficients": v} for w, v in report.volumes],
         }
     elif command == "grothendieck-degree":
         from .grothendieck import grothendieck_degree
@@ -409,14 +409,10 @@ def run_job(spec: JobSpec) -> dict:
 # ---------------------------------------------------------------------------
 # plain-text rendering of result documents
 
-def _poly_from_document(doc: dict) -> TPoly:
-    return TPoly([Fraction(c) for c in doc["coefficients"]])
-
-
 def render_result_plain(result: dict) -> str:
     lines = []
     if "volume" in result:
-        lines.append(f"volume = {render_plain(_poly_from_document(result['volume']))}")
+        lines.append(f"volume = {render_plain(result['volume']['coefficients'])}")
     if "t" in result:
         t = result["t"]
         if t["mode"] == "ttilde-value":
@@ -433,7 +429,7 @@ def render_result_plain(result: dict) -> str:
         lines.append(f"{v['suite']}: {'pass' if v['pass'] else 'FAIL'} "
                      f"({v['candidates']} candidates)")
     for row in result.get("rows", ()):
-        poly = render_plain(_poly_from_document(row["volume"]))
+        poly = render_plain(row["volume"]["coefficients"])
         lines.append(f"g={row['g']} r={row['r']} d={row['d']} l={tuple(row['l'])}: {poly}")
     return "\n".join(lines)
 
@@ -545,7 +541,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.set_int_max_str_digits(0)
         result = run_job(spec)
         text = (render_result_plain(result) if spec.out_format == "plain"
-                else json.dumps(result, indent=2))
+                else json.dumps(result, indent=2, default=poly_coefficients))
     except InputError as exc:
         print(f"input error {exc}", file=sys.stderr)
         return EXIT_INPUT

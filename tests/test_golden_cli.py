@@ -6,7 +6,9 @@ stdout, the exit code and, for an input error, the ``input error at
 '<field>'`` prefix of the error line.  Warnings are not pinned: they carry
 source line numbers.  Every case runs in process; nine of them (one json
 result per command, the help text and two input errors) also run through
-``python -m quotvol.cli``, to hold a real process to the same pins.
+``python -m quotvol.cli``, to hold a real process to the same pins.  Every
+plain case that succeeds runs once more with ``cli.poly_coefficients``
+raising: plain output is rendered from the polynomials, never from JSON text.
 
 The test only reads the corpus.  After a deliberate output change, re-record
 it with ``PYTHONPATH=src python tests/test_golden_cli.py --record``.
@@ -28,6 +30,16 @@ CASES = json.loads(CORPUS.read_text(encoding="utf-8"))
 ERROR_PREFIX = re.compile(r"^(input error at '[^']*'|computation error)", re.MULTILINE)
 PROCESS_CASES = [c for c in CASES if c["id"].endswith("-json-symbolic")
                  or c["id"] in ("argv-help", "error-bad-json", "error-argv-unknown-flag")]
+
+
+def out_format(case: dict) -> str:
+    """The format a case that succeeds asks for: the last ``--format`` flag, else its document's."""
+    args = cli._build_argparser(case["argv"]) or {}  # None for --help
+    doc = case["stdin"] if isinstance(case["stdin"], dict) else {}
+    return args.get("format", doc.get("format", "json"))
+
+
+PLAIN_CASES = [c for c in CASES if c["exit"] == 0 and out_format(c) == "plain"]
 
 
 def stdin_text(case: dict) -> str:
@@ -58,6 +70,14 @@ def test_golden_cli_case(case):
 def test_golden_cli_case_through_a_process(case):
     run = run_python("-m", "quotvol.cli", *case["argv"], stdin=stdin_text(case))
     assert expectations(*run) == pinned(case)
+
+
+@pytest.mark.parametrize("case", PLAIN_CASES, ids=[c["id"] for c in PLAIN_CASES])
+def test_plain_case_builds_no_json_text(case, monkeypatch):
+    def refuse(poly):
+        raise AssertionError("plain output turned a coefficient into JSON text")
+    monkeypatch.setattr(cli, "poly_coefficients", refuse)
+    assert expectations(*run_main(case["argv"], stdin_text(case))) == pinned(case)
 
 
 def test_golden_corpus_covers_every_command_format_and_t_mode():
