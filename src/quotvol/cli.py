@@ -24,10 +24,9 @@ import time
 from fractions import Fraction
 from typing import NoReturn, Sequence
 
-from .scalars import (WORK_LIMIT, InputError, QuotProblem, Record, TPoly, WeightVector,
-                      _ascii_int, _bits, _print_price, _product_price, _require_int,
-                      _require_int_list, _row_price, _within_budget, default_weights,
-                      parse_fraction)
+from .scalars import (WORK_LIMIT, InputError, QuotProblem, Record, TPoly, _ascii_int, _bits,
+                      _print_price, _product_price, _require_int, _require_int_list,
+                      _within_budget, parse_fraction)
 
 if __name__ != "__main__":  # perfbench/tracer.py patches these names; delete once it stops
     from .abelian import acyclic_volume, symmetric_power_volume
@@ -139,65 +138,10 @@ def _parse_t_section(doc: dict) -> tuple:
     return mode, value, vol_X, pi_probe
 
 
-def _parse_weights(doc: dict, command: str, r: int | None) -> tuple[WeightVector, ...] | None:
-    ws = doc.get("weights")
-    if ws is None:
-        return None
-    if command not in ("quot-volume", "verify"):
-        raise InputError("weights", f"{command} takes no torus weights")
-    if not isinstance(ws, list) or not all(isinstance(v, list) for v in ws):
-        raise InputError("weights", "expected a list of weight vectors")
-    parsed: dict[WeightVector, int] = {}  # each vector -> its first index
-    for vi, vec in enumerate(ws):
-        entries = tuple(parse_fraction(x, f"weights[{vi}][{k}]") for k, x in enumerate(vec))
-        try:
-            w = WeightVector(entries)
-        except ValueError as exc:
-            raise InputError(f"weights[{vi}]", str(exc)) from None
-        if w in parsed:
-            raise InputError(f"weights[{vi}]", f"repeats weights[{parsed[w]}]")
-        parsed[w] = vi
-    if command == "quot-volume" and len(parsed) != 1:
-        raise InputError("weights", "quot-volume takes a single weight vector")
-    if command == "verify" and len(parsed) == 1:
-        raise InputError("weights", "verify needs at least two weight vectors")
-    for w, vi in parsed.items():
-        if len(w.w) != r:
-            raise InputError(f"weights[{vi}]", f"expected {r} weights")
-    return tuple(parsed)
-
-
-def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
-    """Three deterministic candidates: 1..r, the first r primes, and a seeded
-    pseudo-random distinct rational vector."""
-    import random  # only a verify job without weights draws
-    # the seeded draw a/b, |a| <= 60, 1 <= b <= 12, has only 899 distinct values
-    if r >= 900:
-        raise InputError("weights", "r >= 900 needs explicit weights for verify")
-    primes = []
-    k = 2
-    while len(primes) < r:
-        if all(k % p for p in primes):
-            primes.append(k)
-        k += 1
-    rng = random.Random(20201)
-    rand: list[Fraction] = []
-    seen: set[Fraction] = set()  # beside the list: a membership test on it is O(r)
-    while len(rand) < r:
-        cand = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-        if cand not in seen:
-            seen.add(cand)
-            rand.append(cand)
-    return (
-        default_weights(r),
-        WeightVector(tuple(Fraction(p) for p in primes)),
-        WeightVector(tuple(rand)),
-    )
-
-
 # ---------------------------------------------------------------------------
-# work budget: ``scalars`` holds the limit and the refusal and each engine counts its
-# own work; this module names the field of each refusal and prices the evaluation
+# work budget: ``scalars`` holds the limit and the refusal, and each engine's module prices
+# its own jobs (``exterior._parse_acyclic`` a whole acyclic job); this module prices the
+# evaluation and names the field of every other refusal
 
 def _report_plan(spec: JobSpec) -> tuple | None:
     """``(degree, dim, fact, point, field_name, factor_line)``, or None for sweep and verify:
@@ -261,24 +205,18 @@ def parse_jobspec(doc: dict) -> JobSpec:
             ints[name] = (_require_int_list if listed else _require_int)(doc[name], name, minimum)
     g, r, l, d = (ints.get(name) for name in ("g", "r", "l", "d"))
     t_section = _parse_t_section(doc)
-    weights = _parse_weights(doc, command, r)
-    if command == "verify":
-        if doc.get("suite", "weight-independence") != "weight-independence":
-            raise InputError("suite", f"unknown suite {json.dumps(doc['suite'], default=repr)}")
-        weights = weights or _default_verify_weights(r)
+    weights = doc.get("weights")  # only null counts as absent
+    if weights is not None and command not in ("quot-volume", "verify"):
+        raise InputError("weights", f"{command} takes no torus weights")
+    if weights is not None or command == "verify":  # the jobs that load localization
+        from .localization import _read_weights
+        weights = _read_weights(doc, command, r)
 
-    if command in ("abelian-volume", "acyclic-volume"):
-        from .abelian import CurveQuotProblem, _shifted_sum_work
     if command == "acyclic-volume":
-        from .exterior import _parse_acyclic, _partition_work  # loaded by acyclic jobs alone
-        problem, rank_work = _parse_acyclic(doc, ints["n_dim"], ints["q"],
-                                            t_section[0] == "physical-t")
-        work, c_bits = _partition_work(problem)
-        _within_budget(work, "q")
-        # then the record's rank and the rank-1 sum to N = rank + q - 1 (the pairings set both)
-        work += rank_work + _shifted_sum_work(problem.deg_E, problem.dimension, problem.q + 1, c_bits)
-        _within_budget(work, "pairings")
+        from .exterior import _parse_acyclic  # loaded by acyclic jobs alone
+        problem, work = _parse_acyclic(doc, ints["n_dim"], ints["q"], t_section[0] == "physical-t")
     elif command == "abelian-volume":
+        from .abelian import CurveQuotProblem, _shifted_sum_work
         # a degree list has one entry per summand: one on a curve, else r
         if len(l) != 1:
             raise InputError("l", "abelian-volume takes a single degree [deg_E0]")
@@ -306,14 +244,7 @@ def parse_jobspec(doc: dict) -> JobSpec:
             work = _localization_work(QuotProblem(g=g, r=r, l=l, d=d), weights)
         else:
             from .closed import _closed_form_work
-            bits = max(gs, default=0).bit_length() + max(
-                (abs(sum(part)) for part in parts), default=0).bit_length()
-            work = 0
-            for di in ds:  # stop at the first d past the limit: d_values may be long
-                row = _row_price(min(di, WORK_LIMIT) + 1) + _closed_form_work(r, di, bits)
-                work += len(gs) * len(parts) * row
-                if work > WORK_LIMIT:
-                    break
+            work = _closed_form_work(r, gs, ds, parts)
         _within_budget(work, "r" if weights else "d" if d is not None else "d_values")
         rows = tuple(QuotProblem(g=gi, r=r, l=part, d=di)
                      for gi in gs for di in ds for part in parts)

@@ -48,7 +48,7 @@ import math
 from fractions import Fraction
 
 from . import _EXPORTS
-from .scalars import WORK_LIMIT, QuotProblem, TPoly, _product_price
+from .scalars import WORK_LIMIT, QuotProblem, TPoly, _product_price, _row_price
 
 __all__ = list(_EXPORTS["closed"])
 
@@ -72,14 +72,23 @@ def _log_a(r: int, d: int) -> list[int]:
     return [(r * n) ** (r * n - 1) - logs[r * n][0] for n in range(1, d + 1)]
 
 
-def _closed_form_work(r: int, d: int, bits: int) -> float:
-    """r^2 (rd)^2/2 products ell_k c_(n-k) of k and n - k times lg(rd) bits, d^3/3 in rho of
-    (n - k) s and k s bits, s = r lg(rd) + ``bits`` (g, |l|), at means over k < n."""
-    r, d = min(r, WORK_LIMIT), min(d, WORK_LIMIT)
-    n, lg = r * d, (r * d).bit_length()
-    s = r * lg + bits
-    return (r * r * n * n // 2 * _product_price(n * lg // 2, n * lg // 6)
-            + d ** 3 // 3 * _product_price(d * s // 2, d * s // 5))
+def _closed_form_work(r: int, gs: tuple, ds: tuple, parts: tuple) -> float:
+    """Every row of the grid gs x ds x parts, d by d until past the limit (d_values may be long):
+    its fixed work, r^2 (rd)^2/2 products ell_k c_(n-k) of k and n - k times lg(rd) bits, d^3/3
+    in rho of (n - k) s and k s bits at means over k < n, s = r lg(rd) + bits of max g, max |l|."""
+    bits = max(gs, default=0).bit_length() + max(
+        (abs(sum(part)) for part in parts), default=0).bit_length()
+    r, work = min(r, WORK_LIMIT), 0
+    for d in ds:
+        d = min(d, WORK_LIMIT)
+        n, lg = r * d, (r * d).bit_length()
+        s = r * lg + bits
+        row = (r * r * n * n // 2 * _product_price(n * lg // 2, n * lg // 6)
+               + d ** 3 // 3 * _product_price(d * s // 2, d * s // 5))
+        work += len(gs) * len(parts) * (_row_price(d + 1) + row)
+        if work > WORK_LIMIT:
+            break
+    return work
 
 
 def closed_volume(p: QuotProblem) -> TPoly:

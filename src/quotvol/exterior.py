@@ -27,7 +27,7 @@ products of ``_partition_sums`` (``_subset_tests``), and prices them with
 The acyclic pipeline lives here too, so that only acyclic jobs compile it:
 the pairing data ``AcyclicData`` (and ``curve_acyclic_data``, its curve
 case), the characteristic classes ``ch_of_V``, ``segre_from_ch`` and
-``chern_from_ch``, and ``_parse_acyclic``, the reader of an
+``chern_from_ch``, and ``_parse_acyclic``, the reader and the price of an
 ``acyclic-volume`` job document.  ``abelian.acyclic_volume`` evaluates it.
 """
 
@@ -41,6 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import _EXPORTS
+from .abelian import _shifted_sum_work  # acyclic jobs load abelian anyway
 from .scalars import (
     WORK_LIMIT,
     InputError,
@@ -577,9 +578,9 @@ def _parse_kappa(value, q: int, n_dim: int) -> dict[tuple[int, int], AltForm]:
 
 def _parse_acyclic(doc: dict, n_dim: int, q: int, physical: bool) -> tuple[AcyclicData, float]:
     """``(data, work)``: JSON types only, as ``AcyclicData`` checks the length and rank of
-    ``pairings`` and the shape and antisymmetry of ``h``; ``work`` prices the record's one
-    computation of the rank and, for a ``physical`` t, the (n_dim - 1)! that the report
-    prints, refused at ``pairings`` before the record is built."""
+    ``pairings`` and the shape and antisymmetry of ``h``.  ``work`` prices the whole job: the
+    rank and a ``physical`` t's printed (n_dim - 1)!, refused at ``pairings`` before the record
+    is built; then its partition sums, refused at ``q``; then the rank-1 sum to N = rank + q - 1."""
     deg_E = parse_fraction(doc["deg_E"], "deg_E")
     pairings = doc.get("pairings")
     if not isinstance(pairings, list):
@@ -601,4 +602,9 @@ def _parse_acyclic(doc: dict, n_dim: int, q: int, physical: bool) -> tuple[Acycl
     if physical:  # (n_dim - 1)! = (n - 2)!, of lg((n - 2)!) bits
         work += _print_price(int(math.lgamma(max(n - 1, 1)) / math.log(2)))
     _within_budget(work, "pairings")
-    return AcyclicData(n=n_dim, q=q, deg_E=deg_E, pairings=pairings, h=h, kappa_forms=kappa), work
+    data = AcyclicData(n=n_dim, q=q, deg_E=deg_E, pairings=pairings, h=h, kappa_forms=kappa)
+    partitions, c_bits = _partition_work(data)
+    _within_budget(partitions, "q")
+    work = partitions + (work + _shifted_sum_work(data.deg_E, data.dimension, q + 1, c_bits))
+    _within_budget(work, "pairings")
+    return data, work

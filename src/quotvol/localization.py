@@ -47,14 +47,16 @@ freedom is kept as an end-to-end consistency check.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from fractions import Fraction
 from typing import Sequence
 
 from . import _EXPORTS
-from .scalars import (WORK_LIMIT, QuotProblem, Record, TPoly, ULaurent, WeightVector, _bits,
-                      _fraction_price, _product_price, default_weights, general_binomial)
+from .scalars import (WORK_LIMIT, InputError, QuotProblem, Record, TPoly, ULaurent, WeightVector,
+                      _bits, _fraction_price, _product_price, default_weights, general_binomial,
+                      parse_fraction)
 
 __all__ = list(_EXPORTS["localization"])
 
@@ -247,6 +249,56 @@ def verify_weight_independence(p: QuotProblem, ws: Sequence[WeightVector]) -> We
     first = volumes[0][1]
     passed = all(v == first for _, v in volumes[1:])
     return WeightIndependenceReport(passed=passed, volumes=volumes)
+
+
+def _read_weights(doc: dict, command: str, r: int) -> tuple[WeightVector, ...]:
+    """A ``quot-volume`` or ``verify`` job's torus weights, each vector checked in order; then
+    a ``verify`` job's suite, and its default candidates if it names no vector."""
+    ws = doc.get("weights")
+    ws = [] if ws is None else ws  # only a verify job comes here without weights
+    if not isinstance(ws, list) or not all(isinstance(v, list) for v in ws):
+        raise InputError("weights", "expected a list of weight vectors")
+    parsed: dict[WeightVector, int] = {}  # each vector -> its first index
+    for vi, vec in enumerate(ws):
+        entries = tuple(parse_fraction(x, f"weights[{vi}][{k}]") for k, x in enumerate(vec))
+        try:
+            w = WeightVector(entries)
+        except ValueError as exc:
+            raise InputError(f"weights[{vi}]", str(exc)) from None
+        if w in parsed:
+            raise InputError(f"weights[{vi}]", f"repeats weights[{parsed[w]}]")
+        parsed[w] = vi
+    if command == "quot-volume" and len(parsed) != 1:
+        raise InputError("weights", "quot-volume takes a single weight vector")
+    if command == "verify" and len(parsed) == 1:
+        raise InputError("weights", "verify needs at least two weight vectors")
+    for w, vi in parsed.items():
+        if len(w.w) != r:
+            raise InputError(f"weights[{vi}]", f"expected {r} weights")
+    if command == "verify" and doc.get("suite", "weight-independence") != "weight-independence":
+        raise InputError("suite", f"unknown suite {json.dumps(doc['suite'], default=repr)}")
+    return tuple(parsed) or _default_verify_weights(r)  # a quot-volume job has its one vector
+
+
+def _default_verify_weights(r: int) -> tuple[WeightVector, ...]:
+    """Three deterministic candidates: 1..r, the first r primes, and a seeded
+    pseudo-random distinct rational vector."""
+    import random  # only a verify job without weights draws
+    # the seeded draw a/b, |a| <= 60, 1 <= b <= 12, has only 899 distinct values
+    if r >= 900:
+        raise InputError("weights", "r >= 900 needs explicit weights for verify")
+    primes = []
+    k = 2
+    while len(primes) < r:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    rng = random.Random(20201)
+    rand: dict[Fraction, None] = {}  # the distinct values, in the order first drawn
+    while len(rand) < r:
+        rand[Fraction(rng.randint(-60, 60), rng.randint(1, 12))] = None
+    return (default_weights(r), WeightVector(tuple(Fraction(p) for p in primes)),
+            WeightVector(tuple(rand)))
 
 
 def __getattr__(name: str):  # perfbench/tracer.py patches these names; delete once it stops

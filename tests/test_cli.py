@@ -11,7 +11,7 @@ import warnings
 from fractions import Fraction
 
 from clirun import ACYCLIC, child_env, run_main, run_python
-from quotvol import cli
+from quotvol import cli, localization
 from quotvol.abelian import AcyclicData, CurveQuotProblem
 from quotvol.cli import parse_fraction, parse_jobspec, render_latex, render_plain, run_job
 from quotvol.exterior import AltForm, curve_acyclic_data
@@ -870,11 +870,13 @@ INSTALLED = "import quotvol; quotvol._script()"
      ["closed", "grothendieck", "localization"]),
     (AS_MAIN, ["quot-volume"], {"g": 1, "r": 2, "l": [0, 1], "d": 2, "weights": [["1/2", 3]]},
      ["localization"]),
+    (AS_MAIN, ["quot-volume"], {"g": 1, "r": 2, "l": [0, 1], "d": 2, "weights": None},
+     ["closed"]),
     (AS_MAIN, ["verify"], {"g": 1, "r": 2, "l": [0, 1], "d": 1}, ["localization"]),
     (AS_MAIN, ["abelian-volume"], {"g": 1, "l": [3], "d": 2}, ["abelian"]),
     (AS_MAIN, ["acyclic-volume"], ACYCLIC, ["abelian", "exterior"]),
-], ids=["quot-volume", "installed", "sweep", "grothendieck-degree", "weighted", "verify",
-        "abelian-volume", "acyclic-volume"])
+], ids=["quot-volume", "installed", "sweep", "grothendieck-degree", "weighted", "null-weights",
+        "verify", "abelian-volume", "acyclic-volume"])
 def test_script_loads_only_its_engine(launch, argv, doc, engines):
     stdin = "" if doc is None else json.dumps(doc)
     want = run_main(argv, stdin)[1]
@@ -908,5 +910,5 @@ def _list_based_verify_weights(r):
 
 @pytest.mark.parametrize("r", [1, 7, 400])
 def test_default_verify_weights_match_the_list_based_draw(r):
-    vectors = tuple(w.w for w in cli._default_verify_weights(r))
+    vectors = tuple(w.w for w in localization._default_verify_weights(r))
     assert vectors == _list_based_verify_weights(r)
